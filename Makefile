@@ -117,8 +117,10 @@ load-smoke:
 # scan to /v1/sweeps, watch it with `vqeload sweep -assert-order` (done
 # points must always form a prefix of the value-ascending execution
 # order), SIGKILL the daemon mid-curve, restart it on the same spool, and
-# require the family to resume with zero lost or duplicated points.
-# Writes the final curve to sweep_curve.json.
+# require the family to resume with zero lost or duplicated points. Worker
+# faults are armed on both sides of the crash; no point's attempt counter
+# may exceed the -retries budget. Writes the final curve to
+# sweep_curve.json.
 sweep-smoke:
 	$(GO) build -o bin/vqed ./cmd/vqed
 	$(GO) build -o bin/vqeload ./cmd/vqeload

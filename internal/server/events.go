@@ -1,9 +1,7 @@
 package server
 
-// eventHub is the publish/subscribe core shared by jobs and sweep
-// families: a bounded replayable event history plus live fan-out to SSE
-// subscribers. It was extracted from Job when sweeps arrived so both
-// lifecycles stream through one mechanism.
+// eventHub is a family's publish/subscribe core: a bounded replayable
+// event history plus live fan-out to SSE subscribers.
 
 import (
 	"encoding/json"
@@ -89,15 +87,9 @@ func (h *eventHub) unsubscribe(ch chan Event) {
 	h.mu.Unlock()
 }
 
-// eventSource is anything whose lifecycle streams over SSE.
-type eventSource interface {
-	subscribe() ([]Event, chan Event)
-	unsubscribe(chan Event)
-}
-
 // streamEvents serves one SSE connection: history replays first, then
 // live events until a terminal frame or client disconnect.
-func streamEvents(w http.ResponseWriter, r *http.Request, src eventSource) {
+func streamEvents(w http.ResponseWriter, r *http.Request, src *family) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeAPIError(w, http.StatusInternalServerError, codeInternal, "streaming unsupported", 0)

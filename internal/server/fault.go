@@ -2,7 +2,7 @@ package server
 
 // Test-only worker fault injection for the chaos harness: a FaultHook
 // installed via Config.FaultHook runs inside the engine's progress
-// observer, where it can panic (exercising per-job panic isolation) or
+// observer, where it can panic (exercising per-task panic isolation) or
 // stall (exercising the no-progress watchdog). Production deployments
 // leave the hook nil; the vqed binary only installs one when the
 // VQED_FAULTS environment variable is set.
@@ -26,14 +26,16 @@ var (
 	mFaultStalls = telemetry.GetCounter("server.fault.injected_stalls")
 )
 
-// FaultHook observes every engine progress sample of every job before it
-// is published. It may panic or block; the scheduler's isolation and
-// watchdog must contain either. ctx is the job's run context — a stalling
-// hook should select on it so a watchdog cancellation unblocks the slot.
-type FaultHook func(ctx context.Context, jobID string, p runspec.Progress)
+// FaultHook observes every engine progress sample of every task before it
+// is published. key names the task: the job ID for a job, the sweep ID
+// plus "-pNNN" (1-based point) for a sweep point. It may panic or block;
+// the scheduler's isolation and watchdog must contain either. ctx is the
+// task's run context — a stalling hook should select on it so a watchdog
+// cancellation unblocks the slot.
+type FaultHook func(ctx context.Context, key string, p runspec.Progress)
 
 // faultInjector is the seeded implementation behind FaultHookFromEnv. It
-// fires at most one fault per job (so a bounded retry budget always
+// fires at most one fault per task (so a bounded retry budget always
 // recovers) and at most Max faults per process.
 type faultInjector struct {
 	mu        sync.Mutex
@@ -43,16 +45,16 @@ type faultInjector struct {
 	stall     time.Duration
 	max       int
 	fired     int
-	perJob    map[string]bool
+	perTask   map[string]bool
 }
 
 // FaultHookFromEnv parses a fault-drill spec of the form
 //
 //	seed=7,panic=0.05,stall=0.03,stall_ms=1500,max=6
 //
-// into a seeded FaultHook: each progress sample of a not-yet-faulted job
+// into a seeded FaultHook: each progress sample of a not-yet-faulted task
 // draws once; with probability panic the hook panics, else with
-// probability stall it blocks for stall_ms (or until the job context is
+// probability stall it blocks for stall_ms (or until the task context is
 // canceled). max bounds total injected faults (default 16). An empty
 // spec returns a nil hook.
 func FaultHookFromEnv(spec string) (FaultHook, error) {
@@ -61,10 +63,10 @@ func FaultHookFromEnv(spec string) (FaultHook, error) {
 		return nil, nil
 	}
 	inj := &faultInjector{
-		rng:    rand.New(rand.NewSource(1)),
-		stall:  time.Second,
-		max:    16,
-		perJob: map[string]bool{},
+		rng:     rand.New(rand.NewSource(1)),
+		stall:   time.Second,
+		max:     16,
+		perTask: map[string]bool{},
 	}
 	for _, kv := range strings.Split(spec, ",") {
 		key, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
@@ -110,11 +112,11 @@ func FaultHookFromEnv(spec string) (FaultHook, error) {
 }
 
 // hook is the FaultHook. The RNG draw happens under the injector lock;
-// the fault itself (panic or stall) happens outside it so a stalled job
+// the fault itself (panic or stall) happens outside it so a stalled task
 // never blocks injection bookkeeping for other workers.
-func (f *faultInjector) hook(ctx context.Context, jobID string, p runspec.Progress) {
+func (f *faultInjector) hook(ctx context.Context, key string, p runspec.Progress) {
 	f.mu.Lock()
-	if f.fired >= f.max || f.perJob[jobID] {
+	if f.fired >= f.max || f.perTask[key] {
 		f.mu.Unlock()
 		return
 	}
@@ -123,14 +125,14 @@ func (f *faultInjector) hook(ctx context.Context, jobID string, p runspec.Progre
 	doStall := !doPanic && draw < f.panicProb+f.stallProb
 	if doPanic || doStall {
 		f.fired++
-		f.perJob[jobID] = true
+		f.perTask[key] = true
 	}
 	f.mu.Unlock()
 
 	switch {
 	case doPanic:
 		mFaultPanics.Inc()
-		panic(fmt.Sprintf("server: injected fault panic (job %s, iteration %d)", jobID, p.Iteration))
+		panic(fmt.Sprintf("server: injected fault panic (task %s, iteration %d)", key, p.Iteration))
 	case doStall:
 		mFaultStalls.Inc()
 		t := time.NewTimer(f.stall)

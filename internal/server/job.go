@@ -1,6 +1,9 @@
 package server
 
 import (
+	"context"
+	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,65 +72,166 @@ type Event struct {
 	Error string `json:"error,omitempty"`
 }
 
-// maxEventHistory bounds the per-job replay buffer; when full, the oldest
-// progress events are dropped (lifecycle events are never dropped).
+// maxEventHistory bounds the per-family replay buffer; when full, the
+// oldest progress events are dropped (lifecycle events are never dropped).
 const maxEventHistory = 1024
 
-// Job is one submitted spec and everything observed about its execution.
-// All mutable fields are guarded by mu.
-type Job struct {
-	ID   string           `json:"id"`
-	Spec *runspec.RunSpec `json:"spec"`
-	// SpecHash is the content hash of the canonical spec — the cache key.
-	SpecHash string `json:"spec_hash"`
-
-	mu       sync.Mutex
-	status   Status
-	err      string
-	result   *runspec.Result
-	cacheHit bool
-	// checkpoint is the spool path assigned to this job.
-	checkpoint string
-	// attempt counts completed execution attempts (0 before the first
-	// retry); the scheduler's retry budget is measured against it.
+// task is one spec's execution state: a job's only task or one sweep
+// point. pt is the immutable identity (index, axis value, spec, rs1
+// hash); the mutable fields are guarded by the owning family's mu.
+type task struct {
+	pt runspec.SweepPoint
+	// key names the task for its spool checkpoint (key + ".ckpt") and the
+	// fault hook: the job ID, or the sweep ID plus "-pNNN".
+	key    string
+	status Status
+	err    string
+	result *runspec.Result
+	// cacheHit marks a result served from the result cache; warmStart an
+	// execution seeded from a finished neighbor's parameters.
+	cacheHit  bool
+	warmStart bool
+	// attempt counts retries consumed (0 before the first retry); the
+	// scheduler's retry budget is measured against it.
 	attempt int
-	// resume marks that the next execution should load the checkpoint
-	// (set after a retryable failure left a valid snapshot, or by journal
-	// recovery after a daemon restart).
-	resume    bool
+	// resume marks that the next execution loads checkpoint (set after a
+	// retryable failure left a valid snapshot, or by journal recovery).
+	resume     bool
+	checkpoint string
+}
+
+// family is the unit of admission, scheduling, journaling and replay. A
+// job is a family of one task with no axis; a sweep is a family of one
+// task per point. Every family runs through the same lifecycle; the only
+// differences are fixed rules keyed on solo(). All mutable fields are
+// guarded by mu.
+type family struct {
+	ID string
+	// Hash is the content hash the accepted record carries: a job's rs1
+	// spec hash (its cache key), or a sweep's sw1 family hash.
+	Hash string
+	// sweep is the submitted family document; nil for a job.
+	sweep *runspec.SweepSpec
+
+	mu     sync.Mutex
+	status Status
+	errMsg string
+	// cancelled is sticky once a client DELETE lands; the runner checks it
+	// between tasks.
+	cancelled bool
+	// cancelCause cancels the in-flight family context (set while a worker
+	// owns the family).
+	cancelCause context.CancelCauseFunc
+	// tasks are in execution order: ascending axis value for a sweep
+	// (runspec.ExecutionOrder), so each point warm-starts from its nearest
+	// finished neighbor.
+	tasks     []*task
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
 
-	// lastBeat is the UnixNano of the most recent engine progress
-	// heartbeat — what the stuck-job watchdog compares against its
-	// no-progress deadline. Atomic so the watchdog never contends with
-	// the hot observer path.
+	// lastBeat is the UnixNano of the most recent engine progress heartbeat
+	// — what the stuck-job watchdog compares against its no-progress
+	// deadline. Atomic so the watchdog never contends with the hot
+	// observer path.
 	lastBeat atomic.Int64
 
 	// hub carries the event history and SSE fan-out; its lock is
-	// independent of j.mu (see eventHub).
+	// independent of mu (see eventHub).
 	hub eventHub
 }
 
-// beat records engine liveness for the watchdog.
-func (j *Job) beat() { j.lastBeat.Store(time.Now().UnixNano()) }
+// Job and Sweep name a family by the endpoint that serves it.
+type (
+	Job   = family
+	Sweep = family
+)
 
-func newJob(id string, spec *runspec.RunSpec) *Job {
-	return &Job{
-		ID:        id,
-		Spec:      spec,
-		SpecHash:  spec.Hash(),
+func newFamily(id, hash string, ss *runspec.SweepSpec, points []runspec.SweepPoint) *family {
+	f := &family{
+		Hash:      hash,
+		sweep:     ss,
 		status:    StatusQueued,
 		submitted: time.Now(),
 		hub:       newEventHub(),
 	}
+	for _, i := range runspec.ExecutionOrder(points) {
+		f.tasks = append(f.tasks, &task{pt: points[i], status: StatusQueued})
+	}
+	f.setID(id)
+	return f
 }
 
+// newJob builds a family of one: the spec is its only task.
+func newJob(id string, spec *runspec.RunSpec) *family {
+	hash := spec.Hash()
+	return newFamily(id, hash, nil, []runspec.SweepPoint{{Spec: spec, Hash: hash}})
+}
+
+// newSweep builds a family with one task per expanded point.
+func newSweep(id string, ss *runspec.SweepSpec, points []runspec.SweepPoint) *family {
+	return newFamily(id, ss.Hash(), ss, points)
+}
+
+// setID names the family and derives its tasks' keys.
+func (f *family) setID(id string) {
+	f.ID = id
+	for _, t := range f.tasks {
+		t.key = id
+		if !f.solo() {
+			t.key = fmt.Sprintf("%s-p%03d", id, t.pt.Index+1)
+		}
+	}
+}
+
+// solo reports whether the family is a job: one task, no axis.
+func (f *family) solo() bool { return f.sweep == nil }
+
+// kind is the ID prefix and endpoint noun: "job" or "sweep".
+func (f *family) kind() string {
+	if f.solo() {
+		return "job"
+	}
+	return "sweep"
+}
+
+// beat records engine liveness for the watchdog.
+func (f *family) beat() { f.lastBeat.Store(time.Now().UnixNano()) }
+
 // publish / subscribe / unsubscribe delegate to the event hub.
-func (j *Job) publish(e Event)                  { j.hub.publish(e) }
-func (j *Job) subscribe() ([]Event, chan Event) { return j.hub.subscribe() }
-func (j *Job) unsubscribe(ch chan Event)        { j.hub.unsubscribe(ch) }
+func (f *family) publish(e Event)                  { f.hub.publish(e) }
+func (f *family) subscribe() ([]Event, chan Event) { return f.hub.subscribe() }
+func (f *family) unsubscribe(ch chan Event)        { f.hub.unsubscribe(ch) }
+
+// publishTask publishes a task-level frame. A sweep point's frames carry
+// its point and value, and its queued/running transitions stay internal
+// (the family's own lifecycle frames cover them); a job's task
+// transitions are the job's lifecycle frames.
+func (f *family) publishTask(t *task, e Event) {
+	if !f.solo() {
+		if e.Type == string(StatusQueued) || e.Type == string(StatusRunning) {
+			return
+		}
+		e.Point, e.Value = t.pt.Index+1, t.pt.Value
+	}
+	f.publish(e)
+}
+
+// terminal reports whether the family has settled (or was parked by a
+// drain).
+func (f *family) terminal() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.status.Terminal()
+}
+
+// snapshot returns a job's status, result and error.
+func (f *family) snapshot() (Status, *runspec.Result, string) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	t := f.tasks[0]
+	return t.status, t.result, t.err
+}
 
 // View is the JSON representation of a job served by the jobs endpoints.
 type View struct {
@@ -149,40 +253,162 @@ type View struct {
 	Result         *runspec.Result `json:"result,omitempty"`
 }
 
-// view snapshots the job. withResult controls whether the full result is
-// embedded (detail endpoints) or elided (listings).
-func (j *Job) view(withResult bool) View {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+// SweepPointView is one point's state on the wire. Point is the 1-based
+// submission-order index, matching the Point field of SSE frames and
+// journal records.
+type SweepPointView struct {
+	Point       int     `json:"point"`
+	Value       float64 `json:"value"`
+	SpecHash    string  `json:"spec_hash"`
+	Status      Status  `json:"status"`
+	CacheHit    bool    `json:"cache_hit,omitempty"`
+	WarmStarted bool    `json:"warm_started,omitempty"`
+	Attempt     int     `json:"attempt,omitempty"`
+	Error       string  `json:"error,omitempty"`
+	// Energy is the converged point energy (done points only).
+	Energy float64 `json:"energy,omitempty"`
+}
+
+// CurvePoint is one finished sample of the family's curve, ascending by
+// axis value.
+type CurvePoint struct {
+	Value  float64 `json:"value"`
+	Energy float64 `json:"energy"`
+	Exact  float64 `json:"exact,omitempty"`
+	// Evaluations is the optimizer's energy-evaluation count for this
+	// point — the warm-start savings show up here.
+	Evaluations int `json:"evaluations,omitempty"`
+}
+
+// SweepView is the JSON representation of a family served by the sweeps
+// endpoints.
+type SweepView struct {
+	ID         string `json:"id"`
+	FamilyHash string `json:"family_hash"`
+	Param      string `json:"param"`
+	Status     Status `json:"status"`
+	Error      string `json:"error,omitempty"`
+	// Aggregate point counts.
+	Points     int `json:"points"`
+	Done       int `json:"done"`
+	Failed     int `json:"failed,omitempty"`
+	Cancelled  int `json:"cancelled,omitempty"`
+	CacheHits  int `json:"cache_hits,omitempty"`
+	WarmStarts int `json:"warm_starts,omitempty"`
+	// EnergyEvaluations totals optimizer work across finished points.
+	EnergyEvaluations int        `json:"energy_evaluations,omitempty"`
+	Submitted         time.Time  `json:"submitted"`
+	Started           *time.Time `json:"started,omitempty"`
+	Finished          *time.Time `json:"finished,omitempty"`
+	// PointStates (detail only) lists every point in submission order;
+	// Curve holds the finished samples ascending by axis value — the
+	// partial dissociation curve while the family still runs.
+	PointStates []SweepPointView `json:"point_states,omitempty"`
+	Curve       []CurvePoint     `json:"curve,omitempty"`
+}
+
+// wire is the family's endpoint body: a job's View or a sweep's
+// SweepView. detail embeds the result (jobs) or the per-point states and
+// curve (sweeps); listings elide them.
+func (f *family) wire(detail bool) any {
+	if f.solo() {
+		return f.jobView(detail)
+	}
+	return f.view(detail)
+}
+
+// jobView snapshots a job.
+func (f *family) jobView(withResult bool) View {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	t := f.tasks[0]
 	v := View{
-		ID:        j.ID,
-		SpecHash:  j.SpecHash,
-		Status:    j.status,
-		CacheHit:  j.cacheHit,
-		Error:     j.err,
-		Attempt:   j.attempt,
-		Submitted: j.submitted,
+		ID:        f.ID,
+		SpecHash:  f.Hash,
+		Status:    t.status,
+		CacheHit:  t.cacheHit,
+		Error:     t.err,
+		Attempt:   t.attempt,
+		Submitted: f.submitted,
+		Started:   timePtr(f.started),
+		Finished:  timePtr(f.finished),
 	}
-	if j.status == StatusInterrupted {
-		v.CheckpointPath = j.checkpoint
-	}
-	if !j.started.IsZero() {
-		t := j.started
-		v.Started = &t
-	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		v.Finished = &t
+	if t.status == StatusInterrupted {
+		v.CheckpointPath = t.checkpoint
 	}
 	if withResult {
-		v.Result = j.result
+		v.Result = t.result
 	}
 	return v
 }
 
-// snapshot returns the fields needed without holding the lock long.
-func (j *Job) snapshot() (Status, *runspec.Result, string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.status, j.result, j.err
+// view snapshots a sweep family.
+func (f *family) view(withPoints bool) SweepView {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	v := SweepView{
+		ID:         f.ID,
+		FamilyHash: f.Hash,
+		Param:      f.sweep.Axis.Param,
+		Status:     f.status,
+		Error:      f.errMsg,
+		Points:     len(f.tasks),
+		Submitted:  f.submitted,
+		Started:    timePtr(f.started),
+		Finished:   timePtr(f.finished),
+	}
+	if withPoints {
+		v.PointStates = make([]SweepPointView, len(f.tasks))
+	}
+	for _, t := range f.tasks {
+		switch t.status {
+		case StatusDone:
+			v.Done++
+		case StatusFailed:
+			v.Failed++
+		case StatusCancelled:
+			v.Cancelled++
+		}
+		if t.cacheHit {
+			v.CacheHits++
+		}
+		if t.warmStart {
+			v.WarmStarts++
+		}
+		if t.result != nil {
+			v.EnergyEvaluations += t.result.EnergyEvaluations
+		}
+		if !withPoints {
+			continue
+		}
+		pv := SweepPointView{
+			Point:       t.pt.Index + 1,
+			Value:       t.pt.Value,
+			SpecHash:    t.pt.Hash,
+			Status:      t.status,
+			CacheHit:    t.cacheHit,
+			WarmStarted: t.warmStart,
+			Attempt:     t.attempt,
+			Error:       t.err,
+		}
+		if t.status == StatusDone && t.result != nil {
+			pv.Energy = t.result.Energy
+			v.Curve = append(v.Curve, CurvePoint{
+				Value:       t.pt.Value,
+				Energy:      t.result.Energy,
+				Exact:       t.result.Exact,
+				Evaluations: t.result.EnergyEvaluations,
+			})
+		}
+		v.PointStates[t.pt.Index] = pv
+	}
+	sort.Slice(v.Curve, func(a, b int) bool { return v.Curve[a].Value < v.Curve[b].Value })
+	return v
+}
+
+func timePtr(t time.Time) *time.Time {
+	if t.IsZero() {
+		return nil
+	}
+	return &t
 }

@@ -1,5 +1,5 @@
 // Package journal is the vqed write-ahead job journal: an append-only
-// log of job lifecycle transitions (accepted → running → checkpointed →
+// log of job lifecycle transitions (accepted → retrying → checkpointed →
 // done/failed) that survives a SIGKILL of the daemon. On restart the
 // journal is replayed: jobs that were accepted but never finished are
 // re-enqueued, running jobs resume from their latest resilience
@@ -44,12 +44,15 @@ const (
 	// OpAccepted: the job passed admission; the record carries the spec.
 	OpAccepted Op = "accepted"
 	// OpRunning: a worker picked the job up (Attempt counts retries).
+	// The daemon no longer writes it — accepted plus retrying records
+	// carry the same facts — but replay still reads journals that hold it.
 	OpRunning Op = "running"
 	// OpCheckpointed: the job was interrupted (drain, stall, crash-adjacent
 	// requeue) with a resumable checkpoint at Checkpoint; non-terminal —
 	// replay resumes it.
 	OpCheckpointed Op = "checkpointed"
-	// OpRetrying: the job failed retryably and was re-queued.
+	// OpRetrying: the job — or, with Point set, one sweep point — failed
+	// retryably and re-runs; Attempt counts the retries spent.
 	OpRetrying Op = "retrying"
 	// OpDone: terminal success; the record carries the result.
 	OpDone Op = "done"
@@ -93,11 +96,6 @@ func (o Op) Sweep() bool {
 		return true
 	}
 	return false
-}
-
-// SweepTerminal reports whether the op ends a sweep family's lifecycle.
-func (o Op) SweepTerminal() bool {
-	return o == OpSweepDone || o == OpSweepFailed || o == OpSweepCancelled
 }
 
 // Record is one journal entry. Spec and Result stay raw JSON so the

@@ -1,18 +1,18 @@
 package server
 
-// Journal replay: how a restarted daemon rebuilds its job table. Every
-// accepted job reappears — terminal ones with their recorded results (so
-// clients polling across the restart still get answers), unfinished ones
-// re-enqueued, resuming from their latest resilience checkpoint when one
-// validates. The legacy SIGTERM spool manifest (written by earlier
-// releases, never read by them) is folded into the same path and then
-// deleted.
+// Journal replay: how a restarted daemon rebuilds its family table. Every
+// accepted family reappears. Settled ones keep their recorded outcomes,
+// so clients polling across the restart still get answers, and their
+// done results re-seed the result cache. Unfinished ones re-enqueue with
+// only their open tasks left to run; each open task keeps its spent
+// retries and resumes from its latest resilience checkpoint when one
+// validates. Replay reads both record vocabularies: the job ops and the
+// sweep ops.
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -24,45 +24,89 @@ import (
 )
 
 var (
-	mJobsRecovered   = telemetry.GetCounter("server.jobs.recovered")
-	mJobsReplayed    = telemetry.GetCounter("server.jobs.replayed_terminal")
-	mSweepsRecovered = telemetry.GetCounter("server.sweeps.recovered")
-	mRecoverDropped  = telemetry.GetCounter("server.recovery.dropped_records")
+	mJobsReplayed   = telemetry.GetCounter("server.jobs.replayed_terminal")
+	mRecoverDropped = telemetry.GetCounter("server.recovery.dropped_records")
 )
 
-// partitionRecords splits a replayed record stream into the job and
-// sweep lifecycles (each replays independently).
-func partitionRecords(recs []journal.Record) (jobs, sweeps []journal.Record) {
-	for _, rec := range recs {
-		if rec.Op.Sweep() {
-			sweeps = append(sweeps, rec)
-		} else {
-			jobs = append(jobs, rec)
-		}
+// pointOps translates a task op from the job vocabulary into the sweep
+// point vocabulary; ops without a point form (running, retrying) keep
+// their name. sweepOps names a sweep family's terminal record.
+var (
+	pointOps = map[journal.Op]journal.Op{
+		journal.OpDone:         journal.OpSweepPointDone,
+		journal.OpFailed:       journal.OpSweepPointFailed,
+		journal.OpCheckpointed: journal.OpSweepCheckpoint,
 	}
-	return jobs, sweeps
+	sweepOps = map[Status]journal.Op{
+		StatusDone:      journal.OpSweepDone,
+		StatusFailed:    journal.OpSweepFailed,
+		StatusCancelled: journal.OpSweepCancelled,
+	}
+)
+
+// point is the task's Point in records and frames: 0 for a job's task,
+// the 1-based submission index for a sweep point.
+func (f *family) point(t *task) int {
+	if f.solo() {
+		return 0
+	}
+	return t.pt.Index + 1
 }
 
-// replayedJob is the merged per-job outcome of a journal scan. Records
-// for one job may interleave with other jobs' and repeat across retries;
-// the merge keeps the strongest lifecycle fact per job (terminal beats
-// running beats accepted) plus the latest checkpoint/attempt.
-type replayedJob struct {
-	id         string
-	specRaw    json.RawMessage
-	specHash   string
+// acceptedRecord is the family's admission record, carrying its full
+// document.
+func (f *family) acceptedRecord() journal.Record {
+	if f.solo() {
+		return journal.Record{Op: journal.OpAccepted, JobID: f.ID, SpecHash: f.Hash,
+			Spec: journalSpec(f.tasks[0].pt.Spec)}
+	}
+	return journal.Record{Op: journal.OpSweepAccepted, JobID: f.ID, SpecHash: f.Hash,
+		Spec: journalSpec(f.sweep)}
+}
+
+// taskRecord is a task-level record in its family's vocabulary: a job's
+// records use the job ops, a sweep point's carry its Point and use the
+// point ops.
+func (f *family) taskRecord(op journal.Op, t *task) journal.Record {
+	rec := journal.Record{Op: op, JobID: f.ID, SpecHash: t.pt.Hash, Point: f.point(t)}
+	if p, ok := pointOps[op]; ok && !f.solo() {
+		rec.Op = p
+	}
+	return rec
+}
+
+// replayed is one family's merged journal facts. Records for one family
+// interleave with other families' and repeat across retries.
+type replayed struct {
+	id    string
+	hash  string
+	doc   json.RawMessage
+	sweep bool
+	// op and errMsg are a sweep's terminal record; a job's outcome is its
+	// task's.
+	op     journal.Op
+	errMsg string
+	// tasks holds per-task facts keyed by record Point.
+	tasks map[int]*replayedTask
+}
+
+// replayedTask keeps the strongest fact per task — an outcome beats a
+// live state, and done beats any other outcome — plus the latest attempt
+// count and checkpoint.
+type replayedTask struct {
+	// op is the outcome in the job vocabulary; empty while the task is open.
 	op         journal.Op
-	checkpoint string
 	attempt    int
+	checkpoint string
 	errMsg     string
-	resultRaw  json.RawMessage
+	result     json.RawMessage
 }
 
-// mergeRecords folds a replayed record stream into per-job outcomes,
+// mergeRecords folds a replayed record stream into per-family facts,
 // preserving first-appearance order.
-func mergeRecords(recs []journal.Record) []*replayedJob {
-	byID := map[string]*replayedJob{}
-	var order []*replayedJob
+func mergeRecords(recs []journal.Record) []*replayed {
+	byID := map[string]*replayed{}
+	var order []*replayed
 	for _, rec := range recs {
 		if rec.JobID == "" {
 			mRecoverDropped.Inc()
@@ -70,460 +114,196 @@ func mergeRecords(recs []journal.Record) []*replayedJob {
 		}
 		e := byID[rec.JobID]
 		if e == nil {
-			e = &replayedJob{id: rec.JobID}
+			e = &replayed{id: rec.JobID, tasks: map[int]*replayedTask{}}
 			byID[rec.JobID] = e
 			order = append(order, e)
 		}
-		if rec.SpecHash != "" {
-			e.specHash = rec.SpecHash
+		e.sweep = e.sweep || rec.Op.Sweep()
+		if rec.Point == 0 && rec.SpecHash != "" {
+			e.hash = rec.SpecHash
 		}
-		switch rec.Op {
-		case journal.OpAccepted:
-			e.specRaw = rec.Spec
-			if e.op == "" {
-				e.op = journal.OpAccepted
-			}
-		case journal.OpRunning:
-			if !e.op.Terminal() {
-				e.op = journal.OpRunning
-				e.attempt = rec.Attempt
+		t := e.tasks[rec.Point]
+		if t == nil {
+			t = &replayedTask{}
+		}
+		switch op := jobOp(rec.Op); op {
+		case journal.OpAccepted, journal.OpSweepAccepted:
+			e.doc = rec.Spec
+			continue
+		case journal.OpSweepDone, journal.OpSweepFailed, journal.OpSweepCancelled:
+			e.op, e.errMsg = rec.Op, rec.Error
+			continue
+		case journal.OpRunning, journal.OpRetrying:
+			if t.op == "" {
+				t.attempt = rec.Attempt
 			}
 		case journal.OpCheckpointed:
-			if !e.op.Terminal() {
-				e.op = journal.OpCheckpointed
-				e.checkpoint = rec.Checkpoint
-			}
-		case journal.OpRetrying:
-			if !e.op.Terminal() {
-				e.op = journal.OpRetrying
-				e.attempt = rec.Attempt
-				e.errMsg = rec.Error
+			if t.op == "" {
+				t.checkpoint = rec.Checkpoint
 			}
 		case journal.OpDone, journal.OpFailed, journal.OpInterrupted:
-			e.op = rec.Op
-			e.resultRaw = rec.Result
-			e.errMsg = rec.Error
-			if rec.Checkpoint != "" {
-				e.checkpoint = rec.Checkpoint
+			if t.op != journal.OpDone {
+				t.op, t.result, t.errMsg = op, rec.Result, rec.Error
+				if rec.Checkpoint != "" {
+					t.checkpoint = rec.Checkpoint
+				}
 			}
 		default:
 			mRecoverDropped.Inc()
+			continue
 		}
+		e.tasks[rec.Point] = t
 	}
 	return order
 }
 
-// legacyManifest mirrors the shutdown manifest earlier daemon versions
-// wrote (and never read back). Recovery merges it once, then deletes the
-// file.
-type legacyManifest struct {
-	Jobs []struct {
-		ID             string           `json:"id"`
-		SpecHash       string           `json:"spec_hash"`
-		CheckpointPath string           `json:"checkpoint_path"`
-		Spec           *runspec.RunSpec `json:"spec"`
-	} `json:"jobs"`
+// jobOp maps a point op back to the job vocabulary.
+func jobOp(op journal.Op) journal.Op {
+	for j, p := range pointOps {
+		if p == op {
+			return j
+		}
+	}
+	return op
 }
 
-// recover rebuilds the job table from replayed journal records plus any
-// legacy manifest, returning the jobs to re-enqueue. Called from New
-// before the worker fleet starts, so no locking is needed yet.
-func (s *Server) recoverJobs(recs []journal.Record) []*Job {
-	merged := mergeRecords(recs)
-	merged = append(merged, s.legacyManifestJobs()...)
-
-	var pending []*Job
-	for _, e := range merged {
-		if _, dup := s.jobs[e.id]; dup {
-			mRecoverDropped.Inc()
-			continue
+// recoverFamilies rebuilds the family table from replayed journal
+// records, returning the families to re-enqueue. Called from New before
+// the worker fleet starts, so no locking is needed yet.
+func (s *Server) recoverFamilies(recs []journal.Record) []*family {
+	var pending []*family
+	for _, e := range mergeRecords(recs) {
+		f := s.rebuild(e)
+		s.families[f.ID] = f
+		s.order = append(s.order, f.ID)
+		// Continue the ID sequence past the replayed maximum.
+		if i := strings.LastIndexByte(f.ID, '-'); i > 0 {
+			if n, err := strconv.Atoi(f.ID[i+1:]); err == nil && n > s.seq[f.ID[:i]] {
+				s.seq[f.ID[:i]] = n
+			}
 		}
-		job, ok := s.rebuildJob(e)
-		if !ok {
-			continue
-		}
-		s.jobs[e.id] = job
-		s.order = append(s.order, e.id)
-		if n := jobSeqOf(e.id); n > s.jobSeq {
-			s.jobSeq = n
-		}
-		st, _, _ := job.snapshot()
-		if st == StatusQueued {
-			pending = append(pending, job)
-			mJobsRecovered.Inc()
-		} else {
+		if f.status.Terminal() {
 			mJobsReplayed.Inc()
+		} else {
+			pending = append(pending, f)
+			f.counters().recovered.Inc()
 		}
 	}
 	return pending
 }
 
-// rebuildJob turns one merged journal outcome into a live Job record.
-func (s *Server) rebuildJob(e *replayedJob) (*Job, bool) {
-	var spec *runspec.RunSpec
-	if len(e.specRaw) > 0 {
-		parsed, err := runspec.Parse(e.specRaw)
-		if err != nil {
-			s.logf("vqed: recovery: job %s spec unusable: %v", e.id, err)
-		} else {
-			spec = parsed
+// rebuild turns one family's merged facts into a live family. The
+// document re-expands to the same tasks (expansion is deterministic).
+// Settled tasks replay their recorded outcomes; open tasks keep their
+// attempt count and resume from a verified checkpoint. A family whose
+// document is unusable cannot re-run: settled, it still answers polls;
+// open, it surfaces as failed rather than silently vanishing.
+func (s *Server) rebuild(e *replayed) *family {
+	f, err := e.family()
+	if err != nil {
+		s.logf("vqed: recovery: %s document unusable: %v", e.id, err)
+	}
+	if e.hash != "" {
+		f.Hash = e.hash
+		if f.solo() {
+			// The journaled hash stays the job's cache key.
+			f.tasks[0].pt.Hash = e.hash
 		}
 	}
-	switch {
-	case spec == nil && e.op.Terminal():
-		// A compacted terminal record without a spec still answers client
-		// polls; the job just cannot be re-run (it does not need to be).
-		spec = &runspec.RunSpec{}
-	case spec == nil:
-		// A non-terminal job without a recoverable spec is genuinely lost;
-		// surface it as failed rather than silently dropping the ID.
-		s.logf("vqed: recovery: job %s has no recoverable spec, marking failed", e.id)
-		job := newJob(e.id, &runspec.RunSpec{})
-		job.SpecHash = e.specHash
-		job.status = StatusFailed
-		job.err = "server: journal holds no recoverable spec for this job"
-		job.finished = time.Now()
-		job.publish(Event{Type: string(StatusFailed), Error: job.err})
-		return job, true
-	}
-
-	job := newJob(e.id, spec)
-	if e.specHash != "" {
-		job.SpecHash = e.specHash
-	}
-	job.attempt = e.attempt
-
-	if e.op.Terminal() {
-		job.status = Status(e.op)
-		job.err = e.errMsg
-		job.checkpoint = e.checkpoint
-		now := time.Now()
-		job.started, job.finished = now, now
-		if len(e.resultRaw) > 0 {
+	matched := 0
+	for _, t := range f.tasks {
+		rt := e.tasks[f.point(t)]
+		if rt == nil {
+			rt = &replayedTask{}
+		} else {
+			matched++
+		}
+		t.attempt = rt.attempt
+		if rt.op == "" {
+			s.armResume(t, rt.checkpoint)
+			continue
+		}
+		t.status, t.err, t.checkpoint = Status(rt.op), rt.errMsg, rt.checkpoint
+		if len(rt.result) > 0 {
 			var res runspec.Result
-			if err := json.Unmarshal(e.resultRaw, &res); err != nil {
-				s.logf("vqed: recovery: job %s result unusable: %v", e.id, err)
-			} else {
-				job.result = &res
-				if e.op == journal.OpDone && !s.cfg.DisableCache {
-					s.cacheStore(job.SpecHash, &res)
-				}
+			if err := json.Unmarshal(rt.result, &res); err != nil {
+				s.logf("vqed: recovery: %s result unusable: %v", t.key, err)
+				continue
+			}
+			t.result = &res
+			if t.status == StatusDone {
+				s.cacheStore(t.pt.Hash, &res)
 			}
 		}
-		job.publish(Event{Type: string(job.status), Error: job.err})
-		return job, true
 	}
+	mRecoverDropped.Add(int64(len(e.tasks) - matched))
 
-	// Unfinished: back to the queue. Resume from the journaled checkpoint
-	// when it verifies (CRC + version); a torn or corrupt snapshot is
-	// deleted so the rerun cold-starts instead of failing on load.
-	if ckpt := e.checkpoint; ckpt != "" {
-		if _, err := resilience.CheckpointKind(ckpt); err == nil {
-			job.checkpoint = ckpt
-			job.resume = true
-		} else if !os.IsNotExist(err) {
-			s.logf("vqed: recovery: job %s checkpoint %s invalid, cold restart: %v", e.id, ckpt, err)
-			os.Remove(ckpt)
-		}
-	} else if ckpt := filepath.Join(s.cfg.SpoolDir, e.id+".ckpt"); fileExists(ckpt) {
-		// A crash between checkpoint write and journal append leaves a
-		// spool file the journal never heard about — still resumable.
-		if _, err := resilience.CheckpointKind(ckpt); err == nil {
-			job.checkpoint = ckpt
-			job.resume = true
-		}
-	}
-	job.publish(Event{Type: string(StatusQueued)})
-	return job, true
-}
-
-// replayedSweep is the merged per-family outcome of a journal scan:
-// the family document, its terminal fact (if any), and the per-point
-// facts keyed by 1-based submission index.
-type replayedSweep struct {
-	id          string
-	familyHash  string
-	specRaw     json.RawMessage
-	op          journal.Op
-	errMsg      string
-	pointDone   map[int]json.RawMessage
-	pointFailed map[int]string
-	pointCkpt   map[int]string
-}
-
-// mergeSweepRecords folds a sweep record stream into per-family
-// outcomes, preserving first-appearance order.
-func mergeSweepRecords(recs []journal.Record) []*replayedSweep {
-	byID := map[string]*replayedSweep{}
-	var order []*replayedSweep
-	for _, rec := range recs {
-		if rec.JobID == "" {
-			mRecoverDropped.Inc()
-			continue
-		}
-		e := byID[rec.JobID]
-		if e == nil {
-			e = &replayedSweep{
-				id:          rec.JobID,
-				pointDone:   map[int]json.RawMessage{},
-				pointFailed: map[int]string{},
-				pointCkpt:   map[int]string{},
+	switch {
+	case f.solo() && f.tasks[0].status.Terminal():
+		f.status, f.errMsg = f.tasks[0].status, f.tasks[0].err
+	case e.op != "":
+		f.status, f.errMsg = StatusQueued, e.errMsg
+		for st, op := range sweepOps {
+			if op == e.op {
+				f.status = st
 			}
-			byID[rec.JobID] = e
-			order = append(order, e)
 		}
-		switch rec.Op {
-		case journal.OpSweepAccepted:
-			e.specRaw = rec.Spec
-			e.familyHash = rec.SpecHash
-			if e.op == "" {
-				e.op = journal.OpSweepAccepted
-			}
-		case journal.OpSweepPointDone:
-			if rec.Point > 0 {
-				e.pointDone[rec.Point] = rec.Result
-				delete(e.pointFailed, rec.Point)
-			}
-		case journal.OpSweepPointFailed:
-			if rec.Point > 0 && e.pointDone[rec.Point] == nil {
-				e.pointFailed[rec.Point] = rec.Error
-			}
-		case journal.OpSweepCheckpoint:
-			if rec.Point > 0 {
-				e.pointCkpt[rec.Point] = rec.Checkpoint
-			}
-		case journal.OpSweepDone, journal.OpSweepFailed, journal.OpSweepCancelled:
-			e.op = rec.Op
-			e.errMsg = rec.Error
-		default:
-			mRecoverDropped.Inc()
+	case err != nil:
+		f.status = StatusFailed
+		f.errMsg = fmt.Sprintf("server: journal holds no recoverable spec for this %s", f.kind())
+		if f.solo() {
+			f.tasks[0].status, f.tasks[0].err = f.status, f.errMsg
 		}
 	}
-	return order
-}
-
-// recoverSweeps rebuilds the family table from replayed sweep records,
-// returning the families to re-enqueue. Called from New before the
-// worker fleet starts, so no locking is needed yet.
-func (s *Server) recoverSweeps(recs []journal.Record) []*Sweep {
-	merged := mergeSweepRecords(recs)
-	var pending []*Sweep
-	for _, e := range merged {
-		if _, dup := s.sweeps[e.id]; dup {
-			mRecoverDropped.Inc()
-			continue
-		}
-		sw, ok := s.rebuildSweep(e)
-		if !ok {
-			continue
-		}
-		s.sweeps[e.id] = sw
-		s.sweepOrder = append(s.sweepOrder, e.id)
-		if n := sweepSeqOf(e.id); n > s.sweepSeq {
-			s.sweepSeq = n
-		}
-		if !sw.status.Terminal() {
-			pending = append(pending, sw)
-			mSweepsRecovered.Inc()
-		} else {
-			mJobsReplayed.Inc()
-		}
-	}
-	return pending
-}
-
-// sweepStatusOf maps a terminal sweep op to the family status.
-func sweepStatusOf(op journal.Op) Status {
-	switch op {
-	case journal.OpSweepDone:
-		return StatusDone
-	case journal.OpSweepFailed:
-		return StatusFailed
-	case journal.OpSweepCancelled:
-		return StatusCancelled
-	}
-	return StatusQueued
-}
-
-// rebuildSweep turns one merged journal outcome into a live Sweep. The
-// family document re-expands to the same points (expansion is
-// deterministic), settled points replay their recorded outcomes — done
-// results also re-seed the spec-hash cache — and an unfinished family
-// re-enqueues with only its open points left to run.
-func (s *Server) rebuildSweep(e *replayedSweep) (*Sweep, bool) {
-	var ss *runspec.SweepSpec
-	var points []runspec.SweepPoint
-	if len(e.specRaw) > 0 {
-		parsed, err := runspec.ParseSweep(e.specRaw)
-		if err != nil {
-			s.logf("vqed: recovery: sweep %s spec unusable: %v", e.id, err)
-		} else if pts, err := parsed.Points(); err != nil {
-			s.logf("vqed: recovery: sweep %s expansion failed: %v", e.id, err)
-		} else {
-			ss, points = parsed, pts
-		}
-	}
-	if ss == nil {
-		// Without a re-expandable document the family cannot re-run; a
-		// terminal one still answers polls, a live one surfaces as failed.
-		sw := &Sweep{
-			ID:         e.id,
-			Spec:       &runspec.SweepSpec{},
-			FamilyHash: e.familyHash,
-			status:     sweepStatusOf(e.op),
-			errMsg:     e.errMsg,
-			submitted:  time.Now(),
-			finished:   time.Now(),
-			hub:        newEventHub(),
-		}
-		if !e.op.SweepTerminal() {
-			sw.status = StatusFailed
-			sw.errMsg = "server: journal holds no recoverable spec for this sweep"
-			s.logf("vqed: recovery: sweep %s has no recoverable spec, marking failed", e.id)
-		}
-		sw.publish(Event{Type: string(sw.status), Error: sw.errMsg})
-		return sw, true
-	}
-
-	sw := newSweep(e.id, ss, points)
-	if e.familyHash != "" {
-		sw.FamilyHash = e.familyHash
-	}
-	for pt, raw := range e.pointDone {
-		if pt < 1 || pt > len(sw.points) {
-			mRecoverDropped.Inc()
-			continue
-		}
-		p := sw.points[pt-1]
-		var res runspec.Result
-		if err := json.Unmarshal(raw, &res); err != nil {
-			s.logf("vqed: recovery: sweep %s point %d result unusable: %v", e.id, pt, err)
-			continue
-		}
-		p.status = StatusDone
-		p.result = &res
-		if !s.cfg.DisableCache {
-			s.cacheStore(p.pt.Hash, &res)
-		}
-	}
-	for pt, msg := range e.pointFailed {
-		if pt < 1 || pt > len(sw.points) {
-			mRecoverDropped.Inc()
-			continue
-		}
-		p := sw.points[pt-1]
-		if !p.status.Terminal() {
-			p.status = StatusFailed
-			p.err = msg
-		}
-	}
-	for pt, ckpt := range e.pointCkpt {
-		if pt < 1 || pt > len(sw.points) || ckpt == "" {
-			continue
-		}
-		p := sw.points[pt-1]
-		if p.status.Terminal() {
-			continue
-		}
-		if _, err := resilience.CheckpointKind(ckpt); err == nil {
-			p.checkpoint = ckpt
-			p.resume = true
-		} else if !os.IsNotExist(err) {
-			s.logf("vqed: recovery: sweep %s point %d checkpoint %s invalid, cold restart: %v", e.id, pt, ckpt, err)
-			os.Remove(ckpt)
-		}
-	}
-
-	if e.op.SweepTerminal() {
-		sw.status = sweepStatusOf(e.op)
-		sw.errMsg = e.errMsg
+	if f.status.Terminal() {
 		now := time.Now()
-		sw.started, sw.finished = now, now
-		if sw.status == StatusCancelled {
-			for _, p := range sw.points {
-				if !p.status.Terminal() {
-					p.status = StatusCancelled
-				}
+		f.started, f.finished = now, now
+		for _, t := range f.tasks {
+			if f.status == StatusCancelled && !t.status.Terminal() {
+				t.status = StatusCancelled
 			}
 		}
-		sw.publish(Event{Type: string(sw.status), Error: sw.errMsg})
-		return sw, true
 	}
-	sw.publish(Event{Type: string(StatusQueued)})
-	return sw, true
+	f.publish(Event{Type: string(f.status), Error: f.errMsg})
+	return f
 }
 
-// sweepSeqOf extracts the numeric suffix of a "sweep-%06d" ID.
-func sweepSeqOf(id string) int {
-	num, ok := strings.CutPrefix(id, "sweep-")
-	if !ok {
-		return 0
-	}
-	n, err := strconv.Atoi(num)
-	if err != nil || n < 0 {
-		return 0
-	}
-	return n
-}
-
-// journalSweepSpec marshals a family document for its accepted record.
-func journalSweepSpec(ss *runspec.SweepSpec) json.RawMessage {
-	raw, err := json.Marshal(ss)
-	if err != nil {
-		return nil
-	}
-	return raw
-}
-
-// legacyManifestJobs reads and deletes the old shutdown manifest,
-// converting its entries to replay form.
-func (s *Server) legacyManifestJobs() []*replayedJob {
-	path := filepath.Join(s.cfg.SpoolDir, "manifest.json")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil
-	}
-	var m legacyManifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		s.logf("vqed: recovery: legacy manifest unreadable, ignoring: %v", err)
-		os.Remove(path)
-		return nil
-	}
-	var out []*replayedJob
-	for _, mj := range m.Jobs {
-		if mj.ID == "" || mj.Spec == nil {
-			continue
+// family re-expands the journaled document. Without a usable one it
+// returns an empty stand-in under the same ID, with the parse error.
+func (e *replayed) family() (*family, error) {
+	if e.sweep {
+		ss, err := runspec.ParseSweep(e.doc)
+		if err == nil {
+			var points []runspec.SweepPoint
+			if points, err = ss.Points(); err == nil {
+				return newSweep(e.id, ss, points), nil
+			}
 		}
-		raw, err := json.Marshal(mj.Spec)
-		if err != nil {
-			continue
-		}
-		out = append(out, &replayedJob{
-			id:         mj.ID,
-			specRaw:    raw,
-			specHash:   mj.SpecHash,
-			op:         journal.OpCheckpointed,
-			checkpoint: mj.CheckpointPath,
-		})
+		return newSweep(e.id, &runspec.SweepSpec{}, nil), err
 	}
-	os.Remove(path)
-	if len(out) > 0 {
-		s.logf("vqed: recovery: merged %d job(s) from legacy manifest", len(out))
+	spec, err := runspec.Parse(e.doc)
+	if err != nil {
+		spec = &runspec.RunSpec{}
 	}
-	return out
+	return newJob(e.id, spec), err
 }
 
-// jobSeqOf extracts the numeric suffix of a "job-%06d" ID (0 if foreign).
-func jobSeqOf(id string) int {
-	num, ok := strings.CutPrefix(id, "job-")
-	if !ok {
-		return 0
+// armResume points an open task at its checkpoint when the snapshot
+// verifies (CRC + version). Without a journaled one it probes the task's
+// spool file: a crash between a checkpoint write and the next journal
+// append leaves a snapshot the journal never heard about. A torn or
+// corrupt snapshot is deleted so the rerun cold-starts instead of failing
+// on load.
+func (s *Server) armResume(t *task, ckpt string) {
+	if ckpt == "" {
+		ckpt = s.spoolPath(t)
 	}
-	n, err := strconv.Atoi(num)
-	if err != nil || n < 0 {
-		return 0
+	if _, err := resilience.CheckpointKind(ckpt); err == nil {
+		t.checkpoint, t.resume = ckpt, true
+	} else if !os.IsNotExist(err) {
+		s.logf("vqed: recovery: %s checkpoint %s invalid, cold restart: %v", t.key, ckpt, err)
+		os.Remove(ckpt)
 	}
-	return n
 }
 
 func fileExists(path string) bool {
@@ -531,9 +311,10 @@ func fileExists(path string) bool {
 	return err == nil && fi.Mode().IsRegular()
 }
 
-// journalSpec marshals a job's spec for its accepted record.
-func journalSpec(spec *runspec.RunSpec) json.RawMessage {
-	raw, err := json.Marshal(spec)
+// journalSpec marshals a family document (a RunSpec or a SweepSpec) for
+// its accepted record.
+func journalSpec(doc any) json.RawMessage {
+	raw, err := json.Marshal(doc)
 	if err != nil {
 		return nil
 	}
@@ -545,116 +326,60 @@ func journalResult(res *runspec.Result) json.RawMessage {
 	if res == nil {
 		return nil
 	}
-	raw, err := json.Marshal(res)
-	if err != nil {
-		return nil
-	}
-	return raw
+	return journalSpec(res)
 }
 
 // compactThreshold is how many appended records trigger a background
-// journal compaction after a job settles.
+// journal compaction after a family settles.
 const compactThreshold = 512
 
 // liveSnapshot rebuilds the minimal record set that reproduces the
-// current job table: accepted (+spec) for every job, the latest
-// checkpoint/attempt facts for unfinished ones, and the terminal record
-// (with result) for settled ones.
+// current family table: the accepted record for every family, the
+// outcome record of every settled task, the spent-retry and checkpoint
+// facts of open ones, and a settled sweep's terminal record.
 func (s *Server) liveSnapshot() []journal.Record {
-	// Snapshot the job list under s.mu, then read each job under its own
-	// lock only after s.mu is released (same lock-order discipline as the
-	// HTTP listing path).
-	s.mu.Lock()
-	jobs := make([]*Job, 0, len(s.order))
-	for _, id := range s.order {
-		jobs = append(jobs, s.jobs[id])
-	}
-	sweeps := make([]*Sweep, 0, len(s.sweepOrder))
-	for _, id := range s.sweepOrder {
-		sweeps = append(sweeps, s.sweeps[id])
-	}
-	s.mu.Unlock()
-
+	// Snapshot the family list under s.mu, then read each family under its
+	// own lock only after s.mu is released (same lock-order discipline as
+	// the HTTP listing path).
+	families := s.list("")
 	var recs []journal.Record
-	for _, j := range jobs {
-		j.mu.Lock()
-		st, ckpt, attempt, res, errMsg := j.status, j.checkpoint, j.attempt, j.result, j.err
-		resume := j.resume
-		j.mu.Unlock()
-		recs = append(recs, journal.Record{
-			Op: journal.OpAccepted, JobID: j.ID, SpecHash: j.SpecHash,
-			Spec: journalSpec(j.Spec),
-		})
-		switch st {
-		case StatusDone, StatusFailed, StatusInterrupted:
-			recs = append(recs, journal.Record{
-				Op: journal.Op(st), JobID: j.ID, SpecHash: j.SpecHash,
-				Result: journalResult(res), Error: errMsg, Checkpoint: ckpt,
-			})
-		default:
-			if attempt > 0 {
-				recs = append(recs, journal.Record{
-					Op: journal.OpRetrying, JobID: j.ID, Attempt: attempt, Error: errMsg,
-				})
-			}
-			if resume && ckpt != "" {
-				recs = append(recs, journal.Record{
-					Op: journal.OpCheckpointed, JobID: j.ID, Checkpoint: ckpt,
-				})
-			}
-		}
-	}
-	for _, sw := range sweeps {
-		sw.mu.Lock()
-		recs = append(recs, journal.Record{
-			Op: journal.OpSweepAccepted, JobID: sw.ID, SpecHash: sw.FamilyHash,
-			Spec: journalSweepSpec(sw.Spec),
-		})
-		for _, p := range sw.points {
-			switch p.status {
-			case StatusDone:
-				recs = append(recs, journal.Record{
-					Op: journal.OpSweepPointDone, JobID: sw.ID,
-					Point: p.pt.Index + 1, SpecHash: p.pt.Hash,
-					Result: journalResult(p.result),
-				})
-			case StatusFailed:
-				recs = append(recs, journal.Record{
-					Op: journal.OpSweepPointFailed, JobID: sw.ID,
-					Point: p.pt.Index + 1, SpecHash: p.pt.Hash, Error: p.err,
-				})
+	for _, f := range families {
+		f.mu.Lock()
+		recs = append(recs, f.acceptedRecord())
+		for _, t := range f.tasks {
+			switch {
+			case t.status == StatusCancelled:
+			case t.status.Terminal():
+				rec := f.taskRecord(journal.Op(t.status), t)
+				rec.Result, rec.Error = journalResult(t.result), t.err
+				if t.status == StatusInterrupted {
+					rec.Checkpoint = t.checkpoint
+				}
+				recs = append(recs, rec)
 			default:
-				if p.resume && p.checkpoint != "" {
-					recs = append(recs, journal.Record{
-						Op: journal.OpSweepCheckpoint, JobID: sw.ID,
-						Point: p.pt.Index + 1, SpecHash: p.pt.Hash,
-						Checkpoint: p.checkpoint,
-					})
+				if t.attempt > 0 {
+					rec := f.taskRecord(journal.OpRetrying, t)
+					rec.Attempt, rec.Error = t.attempt, t.err
+					recs = append(recs, rec)
+				}
+				if t.resume && t.checkpoint != "" {
+					rec := f.taskRecord(journal.OpCheckpointed, t)
+					rec.Checkpoint = t.checkpoint
+					recs = append(recs, rec)
 				}
 			}
 		}
-		if sw.status.Terminal() && sw.status != StatusInterrupted {
-			var op journal.Op
-			switch sw.status {
-			case StatusDone:
-				op = journal.OpSweepDone
-			case StatusFailed:
-				op = journal.OpSweepFailed
-			case StatusCancelled:
-				op = journal.OpSweepCancelled
-			}
-			recs = append(recs, journal.Record{
-				Op: op, JobID: sw.ID, SpecHash: sw.FamilyHash, Error: sw.errMsg,
-			})
+		if op, ok := sweepOps[f.status]; ok && !f.solo() {
+			recs = append(recs, journal.Record{Op: op, JobID: f.ID, SpecHash: f.Hash, Error: f.errMsg})
 		}
-		sw.mu.Unlock()
+		f.mu.Unlock()
 	}
 	return recs
 }
 
 // compactIfNeeded rewrites the journal down to the live snapshot once
 // enough appends have accumulated. At most one compaction runs at a time;
-// contenders simply skip (the next settling job retries).
+// contenders simply skip (the next settling family retries).
 func (s *Server) compactIfNeeded(force bool) {
 	s.mu.Lock()
 	jn := s.jn

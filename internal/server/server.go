@@ -115,9 +115,9 @@ type Server struct {
 	cfg  Config
 	pool *state.Pool
 	mux  *http.ServeMux
-	// queue carries both single jobs and sweep families; a family
-	// occupies one worker slot and executes its points sequentially.
-	queue chan queueItem
+	// queue carries families: a job (a family of one) or a sweep, each
+	// occupying one worker slot until its tasks have run.
+	queue chan *family
 
 	runCtx  context.Context
 	cancel  context.CancelFunc
@@ -127,7 +127,7 @@ type Server struct {
 	// EstimateWait when no cost model is configured.
 	avgRunNs atomic.Int64
 	// spoolOK is false once the checkpoint spool proved unwritable;
-	// subsequent jobs run without checkpointing (degraded durability).
+	// subsequent tasks run without checkpointing (degraded durability).
 	spoolOK    atomic.Bool
 	compacting atomic.Bool
 
@@ -139,29 +139,21 @@ type Server struct {
 	// degradedReason is non-empty once any durability surface has been
 	// shed; /healthz reports it.
 	degradedReason string
-	// queued is the admission-control backlog: jobs accepted into the
+	// queued is the admission-control backlog: families accepted into the
 	// queue channel and not yet picked up. The channel itself is sized
-	// with slack for retries and recovery, so this counter — not the
-	// channel capacity — enforces QueueDepth.
+	// with slack for recovery, so this counter — not the channel capacity
+	// — enforces QueueDepth.
 	queued int
-	jobSeq int
-	jobs   map[string]*Job
-	order  []string
-	// sweeps is the family table, keyed by sweep ID.
-	sweepSeq   int
-	sweeps     map[string]*Sweep
-	sweepOrder []string
-	// watch maps running job/sweep IDs to their heartbeat and cancel
-	// handles for the stuck-job watchdog.
+	// seq numbers IDs per kind ("job", "sweep"); families is the table of
+	// both kinds in admission order.
+	seq      map[string]int
+	families map[string]*family
+	order    []string
+	// watch maps running family IDs to their heartbeat and cancel handles
+	// for the stuck-job watchdog.
 	watch      map[string]*watchEntry
 	cache      map[string]*runspec.Result
 	cacheOrder []string
-}
-
-// queueItem is one scheduler admission: exactly one of job or sweep.
-type queueItem struct {
-	job   *Job
-	sweep *Sweep
 }
 
 // watchEntry is one watchdog registration: the heartbeat to compare
@@ -202,14 +194,14 @@ func New(cfg Config) (*Server, error) {
 	//vqelint:ignore ctxflow daemon lifecycle root: New has no caller context; Shutdown cancels it
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:    cfg,
-		pool:   state.NewPool(cfg.SimWorkers),
-		runCtx: ctx,
-		cancel: cancel,
-		jobs:   map[string]*Job{},
-		sweeps: map[string]*Sweep{},
-		watch:  map[string]*watchEntry{},
-		cache:  map[string]*runspec.Result{},
+		cfg:      cfg,
+		pool:     state.NewPool(cfg.SimWorkers),
+		runCtx:   ctx,
+		cancel:   cancel,
+		seq:      map[string]int{},
+		families: map[string]*family{},
+		watch:    map[string]*watchEntry{},
+		cache:    map[string]*runspec.Result{},
 	}
 	s.spoolOK.Store(true)
 	s.routes()
@@ -230,25 +222,18 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 
-	// Rebuild the job and sweep tables before sizing the queue: the
-	// channel needs room for QueueDepth admissions, one retry slot per
-	// worker, and every recovered entry, so sends after admission never
-	// block.
-	jobRecs, sweepRecs := partitionRecords(recs)
-	pending := s.recoverJobs(jobRecs)
-	pendingSweeps := s.recoverSweeps(sweepRecs)
-	s.queue = make(chan queueItem, cfg.QueueDepth+cfg.MaxConcurrent+len(pending)+len(pendingSweeps)+64)
-	for _, job := range pending {
+	// Rebuild the family table before sizing the queue: the channel needs
+	// room for QueueDepth admissions and every recovered family, so sends
+	// after admission never block.
+	pending := s.recoverFamilies(recs)
+	s.queue = make(chan *family, cfg.QueueDepth+cfg.MaxConcurrent+len(pending)+64)
+	for _, f := range pending {
 		s.queued++
-		s.queue <- queueItem{job: job}
+		s.queue <- f
 	}
-	for _, sw := range pendingSweeps {
-		s.queued++
-		s.queue <- queueItem{sweep: sw}
-	}
-	if len(pending) > 0 || len(s.jobs) > 0 || len(s.sweeps) > 0 {
-		s.logf("vqed: journal replay: %d job(s) and %d sweep(s) restored, %d+%d re-enqueued",
-			len(s.jobs), len(s.sweeps), len(pending), len(pendingSweeps))
+	if len(s.families) > 0 {
+		s.logf("vqed: journal replay: %d job(s) and sweep(s) restored, %d re-enqueued",
+			len(s.families), len(pending))
 	}
 	s.compactIfNeeded(len(recs) > 0)
 
@@ -319,14 +304,23 @@ func (s *Server) journalAppend(rec journal.Record) {
 	}
 }
 
-// cacheStore inserts a result under FIFO eviction (takes s.mu).
-func (s *Server) cacheStore(hash string, res *runspec.Result) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cacheStoreLocked(hash, res)
+// cachedLocked looks a completed result up by spec hash (s.mu held); nil
+// when absent or when the cache is off.
+func (s *Server) cachedLocked(hash string) *runspec.Result {
+	if s.cfg.DisableCache {
+		return nil
+	}
+	return s.cache[hash]
 }
 
-func (s *Server) cacheStoreLocked(hash string, res *runspec.Result) {
+// cacheStore inserts a result under FIFO eviction (takes s.mu); a no-op
+// when the cache is off.
+func (s *Server) cacheStore(hash string, res *runspec.Result) {
+	if s.cfg.DisableCache {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if _, ok := s.cache[hash]; ok {
 		return
 	}
@@ -383,15 +377,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 func (s *Server) routes() {
 	s.mux = http.NewServeMux()
+	for _, kind := range []string{"job", "sweep"} {
+		s.mux.HandleFunc("GET /v1/"+kind+"s", s.handleList(kind))
+		s.mux.HandleFunc("GET /v1/"+kind+"s/{id}", s.handleDetail(kind))
+		s.mux.HandleFunc("GET /v1/"+kind+"s/{id}/events", s.handleEvents(kind))
+	}
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	s.mux.HandleFunc("GET /v1/jobs", s.handleList)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
 	s.mux.HandleFunc("POST /v1/sweeps", s.handleSweepSubmit)
-	s.mux.HandleFunc("GET /v1/sweeps", s.handleSweepList)
-	s.mux.HandleFunc("GET /v1/sweeps/{id}", s.handleSweep)
-	s.mux.HandleFunc("GET /v1/sweeps/{id}/events", s.handleSweepEvents)
 	s.mux.HandleFunc("DELETE /v1/sweeps/{id}", s.handleSweepCancel)
 	s.mux.HandleFunc("GET /v1/capabilities", s.handleCapabilities)
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
@@ -402,14 +395,23 @@ func (s *Server) routes() {
 // maxSpecBytes bounds a submitted spec document.
 const maxSpecBytes = 1 << 20
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// readDoc reads a bounded submission body, answering 400/413 itself.
+func readDoc(w http.ResponseWriter, r *http.Request, what string) ([]byte, bool) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return
+		return nil, false
 	}
 	if len(body) > maxSpecBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, errors.New("spec document too large"))
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("%s document too large", what))
+		return nil, false
+	}
+	return body, true
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	body, ok := readDoc(w, r, "spec")
+	if !ok {
 		return
 	}
 	spec, err := runspec.Parse(body)
@@ -417,7 +419,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	job, err := s.Submit(spec)
+	f, err := s.Submit(spec)
+	s.answerSubmit(w, f, err, spec)
+}
+
+// answerSubmit maps an admission outcome onto the wire: 503 with a
+// load-proportional wait quote when the queue is full, 400 for a bad
+// document, else the family's view — 200 when the cache already settled
+// it, 202 while it runs.
+func (s *Server) answerSubmit(w http.ResponseWriter, f *family, err error, spec *runspec.RunSpec) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		// Quote a wait proportional to actual load: backlog ÷ fleet,
@@ -427,54 +437,72 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, ErrShuttingDown):
 		writeAPIError(w, http.StatusServiceUnavailable, codeShuttingDown, err.Error(), 0)
 		return
+	case errors.Is(err, errSweepTooLarge):
+		writeAPIError(w, http.StatusBadRequest, codeInvalidArgument, err.Error(), 0)
+		return
 	case err != nil:
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	status := http.StatusAccepted
-	if st, _, _ := job.snapshot(); st.Terminal() {
-		// Cache hit: the job is already settled.
+	if f.terminal() {
 		status = http.StatusOK
 	}
-	writeJSON(w, status, job.view(true))
+	writeJSON(w, status, f.wire(true))
 }
 
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
+// list snapshots the families of one kind ("" for all) in admission
+// order.
+func (s *Server) list(kind string) []*family {
 	s.mu.Lock()
-	jobs := make([]*Job, 0, len(s.order))
+	defer s.mu.Unlock()
+	out := make([]*family, 0, len(s.order))
 	for _, id := range s.order {
-		jobs = append(jobs, s.jobs[id])
+		if f := s.families[id]; kind == "" || f.kind() == kind {
+			out = append(out, f)
+		}
 	}
-	s.mu.Unlock()
-	views := make([]View, len(jobs))
-	for i, j := range jobs {
-		views[i] = j.view(false)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": views})
+	return out
 }
 
-func (s *Server) job(w http.ResponseWriter, r *http.Request) *Job {
+func (s *Server) handleList(kind string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		families := s.list(kind)
+		views := make([]any, len(families))
+		for i, f := range families {
+			views[i] = f.wire(false)
+		}
+		writeJSON(w, http.StatusOK, map[string]any{kind + "s": views})
+	}
+}
+
+// lookup finds the {id} family of the given kind, answering 404 itself.
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request, kind string) *family {
+	id := r.PathValue("id")
 	s.mu.Lock()
-	j := s.jobs[r.PathValue("id")]
+	f := s.families[id]
 	s.mu.Unlock()
-	if j == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
+	if f == nil || f.kind() != kind {
+		writeError(w, http.StatusNotFound, fmt.Errorf("no %s %q", kind, id))
+		return nil
 	}
-	return j
+	return f
 }
 
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	if j := s.job(w, r); j != nil {
-		writeJSON(w, http.StatusOK, j.view(true))
+func (s *Server) handleDetail(kind string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if f := s.lookup(w, r, kind); f != nil {
+			writeJSON(w, http.StatusOK, f.wire(true))
+		}
 	}
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	j := s.job(w, r)
-	if j == nil {
+	f := s.lookup(w, r, "job")
+	if f == nil {
 		return
 	}
-	status, result, errMsg := j.snapshot()
+	status, result, errMsg := f.snapshot()
 	switch {
 	case status == StatusFailed:
 		writeJSON(w, http.StatusOK, map[string]any{"status": status, "error": errMsg})
@@ -485,11 +513,13 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleEvents is the SSE stream: the job's event history replays first,
-// then live events until the job settles or the client disconnects.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	if j := s.job(w, r); j != nil {
-		streamEvents(w, r, j)
+// handleEvents is the SSE stream: the family's event history replays
+// first, then live events until it settles or the client disconnects.
+func (s *Server) handleEvents(kind string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if f := s.lookup(w, r, kind); f != nil {
+			streamEvents(w, r, f)
+		}
 	}
 }
 
@@ -526,8 +556,13 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	draining := s.draining
 	degraded := s.degradedReason
 	journaling := s.jn != nil
-	total := len(s.jobs)
-	sweeps := len(s.sweeps)
+	sweeps := 0
+	for _, f := range s.families {
+		if !f.solo() {
+			sweeps++
+		}
+	}
+	total := len(s.families) - sweeps
 	s.mu.Unlock()
 	status := "ok"
 	if degraded != "" {

@@ -1,251 +1,33 @@
 package server
 
-// Sweep families: a SweepSpec submitted as one unit, executed by one
-// worker slot walking the points in ascending axis order so every point
-// warm-starts from its nearest finished neighbor and all points share
-// one Hamiltonian build cache. Each point settles individually — its
-// result flows into the ordinary spec-hash cache, so a later single-job
-// submission of the same point answers without re-simulation, and a
-// cached point found at admission time is pre-settled without queueing.
-// The family lifecycle is journaled exactly like jobs: accepted before
-// acknowledgement, one record per settled point, one terminal record —
-// so a SIGKILL mid-curve resumes with only the unfinished points re-run.
+// Sweep families: a SweepSpec submitted as one unit. Expansion turns it
+// into one task per point, each carrying an ordinary rs1 point spec, and
+// from there a sweep runs the same lifecycle as a job: one worker slot
+// walks the points in ascending axis order so every point warm-starts
+// from its nearest finished neighbor and all points share one
+// Hamiltonian build cache. Each point settles individually and its
+// result flows into the spec-hash cache, so a later job submission of the
+// same point answers without re-simulation, and a cached point found at
+// admission is settled without queueing. What is sweep-specific is the
+// admission-time expansion and cap, and client cancellation.
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"os"
-	"path/filepath"
-	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 
-	"repro/internal/resilience"
 	"repro/internal/runspec"
-	"repro/internal/server/journal"
-	"repro/internal/telemetry"
 )
 
-var (
-	mSweepsSubmitted   = telemetry.GetCounter("server.sweeps.submitted")
-	mSweepsCompleted   = telemetry.GetCounter("server.sweeps.completed")
-	mSweepsFailed      = telemetry.GetCounter("server.sweeps.failed")
-	mSweepsCancelled   = telemetry.GetCounter("server.sweeps.cancelled")
-	mSweepsRejected    = telemetry.GetCounter("server.sweeps.rejected")
-	mSweepPointsRun    = telemetry.GetCounter("server.sweeps.points_run")
-	mSweepPointsCached = telemetry.GetCounter("server.sweeps.points_cached")
-	mSweepWarmStarts   = telemetry.GetCounter("server.sweeps.warm_starts")
-)
-
-// errSweepCancelled is the cancellation cause a client DELETE attaches to
-// a running family.
-var errSweepCancelled = errors.New("server: sweep cancelled by client")
-
-// sweepPoint is one family member's mutable execution state, guarded by
-// the owning Sweep's mu. pt is the immutable identity (index, value,
-// spec, rs1 hash).
-type sweepPoint struct {
-	pt         runspec.SweepPoint
-	status     Status
-	err        string
-	result     *runspec.Result
-	cacheHit   bool
-	warmStart  bool
-	attempt    int
-	resume     bool
-	checkpoint string
-}
-
-// Sweep is one submitted family and everything observed about its
-// execution. All mutable fields are guarded by mu.
-type Sweep struct {
-	ID string
-	// Spec is the submitted family document; FamilyHash its sw1 content
-	// hash. Param is the resolved axis name.
-	Spec       *runspec.SweepSpec
-	FamilyHash string
-	Param      string
-
-	mu     sync.Mutex
-	status Status
-	errMsg string
-	// cancelled is sticky once a client DELETE lands; the executor
-	// checks it between points.
-	cancelled bool
-	// cancelCause cancels the in-flight family context (set while a
-	// worker owns the sweep).
-	cancelCause context.CancelCauseFunc
-	points      []*sweepPoint
-	// order is the execution sequence: point indices ascending by axis
-	// value (runspec.ExecutionOrder).
-	order     []int
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
-
-	// lastBeat feeds the same stuck-job watchdog jobs use; the running
-	// point's progress heartbeats land here.
-	lastBeat atomic.Int64
-
-	hub eventHub
-}
-
-func newSweep(id string, ss *runspec.SweepSpec, points []runspec.SweepPoint) *Sweep {
-	sw := &Sweep{
-		ID:         id,
-		Spec:       ss,
-		FamilyHash: ss.Hash(),
-		Param:      ss.Axis.Param,
-		status:     StatusQueued,
-		points:     make([]*sweepPoint, len(points)),
-		order:      runspec.ExecutionOrder(points),
-		submitted:  time.Now(),
-		hub:        newEventHub(),
-	}
-	for i, p := range points {
-		sw.points[i] = &sweepPoint{pt: p, status: StatusQueued}
-	}
-	return sw
-}
-
-func (sw *Sweep) beat() { sw.lastBeat.Store(time.Now().UnixNano()) }
-
-func (sw *Sweep) publish(e Event)                  { sw.hub.publish(e) }
-func (sw *Sweep) subscribe() ([]Event, chan Event) { return sw.hub.subscribe() }
-func (sw *Sweep) unsubscribe(ch chan Event)        { sw.hub.unsubscribe(ch) }
-
-// SweepPointView is one point's state on the wire. Point is the 1-based
-// submission-order index, matching the Point field of SSE frames and
-// journal records.
-type SweepPointView struct {
-	Point       int     `json:"point"`
-	Value       float64 `json:"value"`
-	SpecHash    string  `json:"spec_hash"`
-	Status      Status  `json:"status"`
-	CacheHit    bool    `json:"cache_hit,omitempty"`
-	WarmStarted bool    `json:"warm_started,omitempty"`
-	Attempt     int     `json:"attempt,omitempty"`
-	Error       string  `json:"error,omitempty"`
-	// Energy is the converged point energy (done points only).
-	Energy float64 `json:"energy,omitempty"`
-}
-
-// CurvePoint is one finished sample of the family's curve, ascending by
-// axis value.
-type CurvePoint struct {
-	Value  float64 `json:"value"`
-	Energy float64 `json:"energy"`
-	Exact  float64 `json:"exact,omitempty"`
-	// Evaluations is the optimizer's energy-evaluation count for this
-	// point — the warm-start savings show up here.
-	Evaluations int `json:"evaluations,omitempty"`
-}
-
-// SweepView is the JSON representation of a family served by the sweeps
-// endpoints.
-type SweepView struct {
-	ID         string `json:"id"`
-	FamilyHash string `json:"family_hash"`
-	Param      string `json:"param"`
-	Status     Status `json:"status"`
-	Error      string `json:"error,omitempty"`
-	// Aggregate point counts.
-	Points     int `json:"points"`
-	Done       int `json:"done"`
-	Failed     int `json:"failed,omitempty"`
-	Cancelled  int `json:"cancelled,omitempty"`
-	CacheHits  int `json:"cache_hits,omitempty"`
-	WarmStarts int `json:"warm_starts,omitempty"`
-	// EnergyEvaluations totals optimizer work across finished points.
-	EnergyEvaluations int        `json:"energy_evaluations,omitempty"`
-	Submitted         time.Time  `json:"submitted"`
-	Started           *time.Time `json:"started,omitempty"`
-	Finished          *time.Time `json:"finished,omitempty"`
-	// PointStates (detail only) lists every point in submission order;
-	// Curve holds the finished samples ascending by axis value — the
-	// partial dissociation curve while the family still runs.
-	PointStates []SweepPointView `json:"point_states,omitempty"`
-	Curve       []CurvePoint     `json:"curve,omitempty"`
-}
-
-// view snapshots the family. withPoints controls whether per-point states
-// and the curve are embedded (detail endpoint) or elided (listings).
-func (sw *Sweep) view(withPoints bool) SweepView {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	v := SweepView{
-		ID:         sw.ID,
-		FamilyHash: sw.FamilyHash,
-		Param:      sw.Param,
-		Status:     sw.status,
-		Error:      sw.errMsg,
-		Points:     len(sw.points),
-		Submitted:  sw.submitted,
-	}
-	if !sw.started.IsZero() {
-		t := sw.started
-		v.Started = &t
-	}
-	if !sw.finished.IsZero() {
-		t := sw.finished
-		v.Finished = &t
-	}
-	var curve []CurvePoint
-	for _, p := range sw.points {
-		switch p.status {
-		case StatusDone:
-			v.Done++
-		case StatusFailed:
-			v.Failed++
-		case StatusCancelled:
-			v.Cancelled++
-		}
-		if p.cacheHit {
-			v.CacheHits++
-		}
-		if p.warmStart {
-			v.WarmStarts++
-		}
-		if p.result != nil {
-			v.EnergyEvaluations += p.result.EnergyEvaluations
-		}
-		if withPoints {
-			pv := SweepPointView{
-				Point:       p.pt.Index + 1,
-				Value:       p.pt.Value,
-				SpecHash:    p.pt.Hash,
-				Status:      p.status,
-				CacheHit:    p.cacheHit,
-				WarmStarted: p.warmStart,
-				Attempt:     p.attempt,
-				Error:       p.err,
-			}
-			if p.status == StatusDone && p.result != nil {
-				pv.Energy = p.result.Energy
-				curve = append(curve, CurvePoint{
-					Value:       p.pt.Value,
-					Energy:      p.result.Energy,
-					Exact:       p.result.Exact,
-					Evaluations: p.result.EnergyEvaluations,
-				})
-			}
-			v.PointStates = append(v.PointStates, pv)
-		}
-	}
-	sort.Slice(curve, func(a, b int) bool { return curve[a].Value < curve[b].Value })
-	v.Curve = curve
-	return v
-}
+// errSweepTooLarge marks a family exceeding the daemon's point cap; the
+// HTTP layer maps it to 400 invalid_argument.
+var errSweepTooLarge = errors.New("server: sweep too large")
 
 // SubmitSweep validates, expands, journals, and enqueues a family,
-// returning the sweep record once its accepted record is durable. Points
-// whose rs1 hash already sits in the result cache are settled at
-// admission; a family whose every point is cached settles terminally
-// without ever occupying a worker.
+// returning the sweep once its accepted record is durable. Points whose
+// rs1 hash already sits in the result cache are settled at admission; a
+// family whose every point is cached settles terminally without ever
+// occupying a worker.
 func (s *Server) SubmitSweep(ss *runspec.SweepSpec) (*Sweep, error) {
 	points, err := ss.Points()
 	if err != nil {
@@ -255,82 +37,8 @@ func (s *Server) SubmitSweep(ss *runspec.SweepSpec) (*Sweep, error) {
 		return nil, fmt.Errorf("%w: sweep expands to %d points (server cap %d)",
 			errSweepTooLarge, len(points), s.cfg.MaxSweepPoints)
 	}
-
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return nil, ErrShuttingDown
-	}
-	// Settle cache-hit points at admission; only the uncached remainder
-	// competes for a backlog slot.
-	cached := make([]*runspec.Result, len(points))
-	uncached := 0
-	for i, p := range points {
-		if !s.cfg.DisableCache {
-			cached[i] = s.cache[p.Hash]
-		}
-		if cached[i] == nil {
-			uncached++
-		}
-	}
-	if uncached > 0 && s.queued >= s.cfg.QueueDepth {
-		s.mu.Unlock()
-		mSweepsRejected.Inc()
-		return nil, ErrQueueFull
-	}
-	s.sweepSeq++
-	id := fmt.Sprintf("sweep-%06d", s.sweepSeq)
-	sw := newSweep(id, ss, points)
-	for i, res := range cached {
-		if res != nil {
-			sw.points[i].status = StatusDone
-			sw.points[i].cacheHit = true
-			sw.points[i].result = res
-		}
-	}
-	if uncached > 0 {
-		s.queued++
-	}
-	s.sweeps[id] = sw
-	s.sweepOrder = append(s.sweepOrder, id)
-	s.mu.Unlock()
-	mSweepsSubmitted.Inc()
-
-	// Durability before acknowledgement: the accepted record (with the
-	// full family document) plus one point record per admission-time
-	// cache hit must be on disk before the client hears 202.
-	s.journalAppend(journal.Record{Op: journal.OpSweepAccepted, JobID: id,
-		SpecHash: sw.FamilyHash, Spec: journalSweepSpec(ss)})
-	sw.publish(Event{Type: string(StatusQueued)})
-	for i, res := range cached {
-		if res == nil {
-			continue
-		}
-		mCacheHits.Inc()
-		mSweepPointsCached.Inc()
-		s.journalAppend(journal.Record{Op: journal.OpSweepPointDone, JobID: id,
-			Point: i + 1, SpecHash: points[i].Hash, Result: journalResult(res)})
-		sw.publish(Event{Type: EventPointDone, Point: i + 1,
-			Value: points[i].Value, Energy: res.Energy})
-	}
-
-	if uncached == 0 {
-		s.settleSweep(sw)
-		return sw, nil
-	}
-	select {
-	case s.queue <- queueItem{sweep: sw}:
-	case <-s.runCtx.Done():
-		// Shutdown raced the enqueue; the accepted record re-enqueues the
-		// family on the next start.
-	}
-	mQueueDepth.Set(int64(len(s.queue)))
-	return sw, nil
+	return s.admit(newSweep("", ss, points))
 }
-
-// errSweepTooLarge marks a family exceeding the daemon's point cap; the
-// HTTP layer maps it to 400 invalid_argument.
-var errSweepTooLarge = errors.New("server: sweep too large")
 
 // CancelSweep requests family cancellation: a queued family settles
 // immediately, a running one is cancelled at the next point boundary
@@ -338,406 +46,34 @@ var errSweepTooLarge = errors.New("server: sweep too large")
 // Cancelling a terminal family is an idempotent no-op.
 func (s *Server) CancelSweep(id string) *Sweep {
 	s.mu.Lock()
-	sw := s.sweeps[id]
+	f := s.families[id]
 	s.mu.Unlock()
-	if sw == nil {
+	if f == nil || f.solo() {
 		return nil
 	}
-	sw.mu.Lock()
-	if sw.status.Terminal() {
-		sw.mu.Unlock()
-		return sw
+	f.mu.Lock()
+	if f.status.Terminal() {
+		f.mu.Unlock()
+		return f
 	}
-	sw.cancelled = true
-	queued := sw.status == StatusQueued
-	cancel := sw.cancelCause
-	sw.mu.Unlock()
+	f.cancelled = true
+	queued := f.status == StatusQueued
+	cancel := f.cancelCause
+	f.mu.Unlock()
 	if cancel != nil {
 		cancel(errSweepCancelled)
 	}
 	if queued {
 		// Not yet picked up: settle now; the worker's entry guard skips
 		// the stale queue item.
-		s.settleSweep(sw)
+		s.settleFamily(f)
 	}
-	return sw
+	return f
 }
-
-// runSweep executes one family in the current worker slot: points in
-// ascending axis order, warm-started from the nearest finished neighbor,
-// sharing one Hamiltonian build cache. Point failures are isolated — the
-// curve continues — and every settled point is journaled individually,
-// so a crash loses at most the in-flight point.
-func (s *Server) runSweep(sw *Sweep) {
-	sw.mu.Lock()
-	if sw.status.Terminal() || sw.cancelled {
-		terminal := sw.status.Terminal()
-		sw.mu.Unlock()
-		if !terminal {
-			s.settleSweep(sw)
-		}
-		return
-	}
-	sw.status = StatusRunning
-	if sw.started.IsZero() {
-		sw.started = time.Now()
-	}
-	sw.mu.Unlock()
-	mJobsRunning.Set(s.running.Add(1))
-	defer func() { mJobsRunning.Set(s.running.Add(-1)) }()
-	sw.publish(Event{Type: string(StatusRunning)})
-
-	famCtx, famCancel := context.WithCancelCause(s.runCtx)
-	defer famCancel(nil)
-	sw.mu.Lock()
-	sw.cancelCause = famCancel
-	if sw.cancelled {
-		// DELETE raced the pickup: cancel before any point runs.
-		famCancel(errSweepCancelled)
-	}
-	sw.mu.Unlock()
-
-	// Shared Hamiltonian/FCI construction plus the warm-start pool of
-	// finished neighbors (admission-time cache hits seed both).
-	shared := runspec.NewBuildCache()
-	var finished []runspec.SweepPoint
-	results := map[int]*runspec.Result{}
-	sw.mu.Lock()
-	for _, p := range sw.points {
-		if p.status == StatusDone && p.result != nil {
-			finished = append(finished, p.pt)
-			results[p.pt.Index] = p.result
-		}
-	}
-	sw.mu.Unlock()
-
-	for _, idx := range sw.order {
-		if s.runCtx.Err() != nil {
-			s.parkSweep(sw)
-			return
-		}
-		sw.mu.Lock()
-		p := sw.points[idx]
-		settled := p.status.Terminal()
-		cancelled := sw.cancelled
-		sw.mu.Unlock()
-		if cancelled {
-			break
-		}
-		if settled {
-			continue
-		}
-
-		// Re-check the result cache: a single-job submission of this exact
-		// point may have completed while the family waited in the queue.
-		var hit *runspec.Result
-		if !s.cfg.DisableCache {
-			s.mu.Lock()
-			hit = s.cache[p.pt.Hash]
-			s.mu.Unlock()
-		}
-		if hit != nil {
-			sw.mu.Lock()
-			p.status = StatusDone
-			p.cacheHit = true
-			p.result = hit
-			sw.mu.Unlock()
-			mCacheHits.Inc()
-			mSweepPointsCached.Inc()
-			s.journalAppend(journal.Record{Op: journal.OpSweepPointDone, JobID: sw.ID,
-				Point: idx + 1, SpecHash: p.pt.Hash, Result: journalResult(hit)})
-			sw.publish(Event{Type: EventPointDone, Point: idx + 1,
-				Value: p.pt.Value, Energy: hit.Energy})
-			finished = append(finished, p.pt)
-			results[idx] = hit
-			continue
-		}
-
-		warm := runspec.NearestParams(p.pt.Value, 0, finished, results)
-		res, ok := s.runSweepPoint(famCtx, sw, p, shared, warm)
-		if s.runCtx.Err() != nil {
-			// Shutdown settled the point path inside runSweepPoint (the
-			// checkpoint record is journaled); park the family non-terminal.
-			s.parkSweep(sw)
-			return
-		}
-		if ok {
-			finished = append(finished, p.pt)
-			results[idx] = res
-		}
-	}
-	s.settleSweep(sw)
-}
-
-// runSweepPoint executes one point — including its retry attempts — and
-// settles it. ok reports a usable result (the point joins the warm-start
-// pool). On daemon shutdown it journals the point's checkpoint record
-// and returns without settling the point.
-func (s *Server) runSweepPoint(famCtx context.Context, sw *Sweep, p *sweepPoint, shared *runspec.BuildCache, warm []float64) (res *runspec.Result, ok bool) {
-	idx := p.pt.Index
-	for {
-		checkpoint := ""
-		if s.spoolOK.Load() {
-			checkpoint = filepath.Join(s.cfg.SpoolDir, fmt.Sprintf("%s-p%03d.ckpt", sw.ID, idx+1))
-		}
-		sw.mu.Lock()
-		p.status = StatusRunning
-		p.checkpoint = checkpoint
-		p.warmStart = len(warm) > 0 && !p.resume
-		attempt := p.attempt
-		resume := p.resume
-		sw.mu.Unlock()
-		sw.beat()
-
-		pointCtx, cancel := context.WithCancelCause(famCtx)
-		s.watchAdd(sw.ID, &sw.lastBeat, cancel)
-		res, err := s.executePoint(pointCtx, sw, p, shared, warm, checkpoint, resume)
-		s.watchRemove(sw.ID)
-		stalled := errors.Is(context.Cause(pointCtx), errStalled)
-		cancelledFam := errors.Is(context.Cause(famCtx), errSweepCancelled)
-		cancel(nil)
-
-		switch {
-		case s.runCtx.Err() != nil:
-			// Drain: journal the point's resumable checkpoint (non-terminal)
-			// so the restarted daemon re-runs only this point onward.
-			rec := journal.Record{Op: journal.OpSweepCheckpoint, JobID: sw.ID,
-				Point: idx + 1, SpecHash: p.pt.Hash}
-			if checkpoint != "" && fileExists(checkpoint) {
-				rec.Checkpoint = checkpoint
-			}
-			s.journalAppend(rec)
-			return nil, false
-
-		case cancelledFam:
-			s.settleSweepPoint(sw, p, StatusCancelled, errSweepCancelled.Error())
-			return nil, false
-
-		case stalled:
-			err = fmt.Errorf("stall: %w", errStalled)
-			fallthrough
-		case err != nil && (errors.Is(err, errJobPanicked) || retryableEngineErr(err)):
-			if !s.retrySweepPoint(sw, p, checkpoint, err.Error()) {
-				s.settleSweepPoint(sw, p, StatusFailed,
-					fmt.Sprintf("retry budget exhausted after %d attempt(s): %s", attempt+1, err))
-				return nil, false
-			}
-			continue
-
-		case err != nil && errors.Is(err, resilience.ErrCheckpointWrite):
-			// The spool is broken, not the point: shed checkpointing and
-			// retry without durability.
-			s.degradeSpool(fmt.Sprintf("checkpoint write failed: %v", err))
-			if !s.retrySweepPoint(sw, p, "", err.Error()) {
-				s.settleSweepPoint(sw, p, StatusFailed,
-					fmt.Sprintf("retry budget exhausted after %d attempt(s): %s", attempt+1, err))
-				return nil, false
-			}
-			continue
-
-		case err != nil:
-			s.settleSweepPoint(sw, p, StatusFailed, err.Error())
-			return nil, false
-
-		case res.Interrupted:
-			// Point-level walltime halt: a partial optimum must not feed the
-			// result cache or the warm-start chain.
-			s.settleSweepPoint(sw, p, StatusFailed, "interrupted before convergence")
-			return nil, false
-
-		default:
-			s.settleSweepPointDone(sw, p, res)
-			return res, true
-		}
-	}
-}
-
-// executePoint runs one engine attempt for a sweep point with per-point
-// panic isolation, warm-started from warm unless resuming a checkpoint.
-func (s *Server) executePoint(ctx context.Context, sw *Sweep, p *sweepPoint, shared *runspec.BuildCache, warm []float64, checkpoint string, resume bool) (res *runspec.Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			mJobsPanicked.Inc()
-			err = fmt.Errorf("%w: %v", errJobPanicked, r)
-		}
-	}()
-	spec := p.pt.Spec
-	if resume && checkpoint != "" {
-		sp := *spec
-		sp.Resilience.CheckpointPath = checkpoint
-		sp.Resilience.Resume = true
-		spec = &sp
-	}
-	hook := s.cfg.FaultHook
-	point := p.pt.Index + 1
-	value := p.pt.Value
-	return runspec.Run(ctx, spec, runspec.RunOptions{
-		Pool:           s.pool,
-		CheckpointPath: checkpoint,
-		InitialParams:  warm,
-		Shared:         shared,
-		OnProgress: func(pr runspec.Progress) {
-			sw.beat()
-			if hook != nil {
-				hook(ctx, sw.ID, pr)
-			}
-			sw.publish(Event{Type: "progress", Phase: pr.Phase,
-				Iteration: pr.Iteration, Energy: pr.Energy, Operator: pr.Operator,
-				Point: point, Value: value})
-		},
-	})
-}
-
-// retrySweepPoint consumes one retry-budget unit for a point, arming a
-// checkpoint resume when the snapshot verifies. It returns false once the
-// budget is exhausted; otherwise it backs off and the caller re-attempts.
-func (s *Server) retrySweepPoint(sw *Sweep, p *sweepPoint, checkpoint, reason string) bool {
-	sw.mu.Lock()
-	p.attempt++
-	attempt := p.attempt
-	sw.mu.Unlock()
-	if attempt > s.cfg.RetryBudget {
-		return false
-	}
-	resume := false
-	if checkpoint != "" {
-		if _, err := resilience.CheckpointKind(checkpoint); err == nil {
-			resume = true
-		} else if !os.IsNotExist(err) {
-			os.Remove(checkpoint)
-		}
-	}
-	sw.mu.Lock()
-	p.status = StatusQueued
-	p.resume = resume
-	sw.mu.Unlock()
-	mJobsRetried.Inc()
-	s.logf("vqed: sweep %s point %d attempt %d failed retryably (%s), re-running",
-		sw.ID, p.pt.Index+1, attempt, reason)
-	sw.publish(Event{Type: EventRetrying, Point: p.pt.Index + 1,
-		Value: p.pt.Value, Error: reason})
-
-	t := time.NewTimer(s.cfg.RetryPolicy.Delay(attempt + 1))
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-s.runCtx.Done():
-	}
-	return true
-}
-
-// settleSweepPointDone records a successful point: journal first, then
-// the spec-hash cache (single-job resubmissions of this point now hit),
-// then the point_done frame.
-func (s *Server) settleSweepPointDone(sw *Sweep, p *sweepPoint, res *runspec.Result) {
-	sw.mu.Lock()
-	p.status = StatusDone
-	p.result = res
-	warm := p.warmStart
-	sw.mu.Unlock()
-	mSweepPointsRun.Inc()
-	if warm {
-		mSweepWarmStarts.Inc()
-	}
-	s.journalAppend(journal.Record{Op: journal.OpSweepPointDone, JobID: sw.ID,
-		Point: p.pt.Index + 1, SpecHash: p.pt.Hash, Result: journalResult(res)})
-	if !s.cfg.DisableCache {
-		s.cacheStore(p.pt.Hash, res)
-	}
-	if p.checkpoint != "" {
-		os.Remove(p.checkpoint)
-	}
-	sw.publish(Event{Type: EventPointDone, Point: p.pt.Index + 1,
-		Value: p.pt.Value, Energy: res.Energy})
-}
-
-// settleSweepPoint records a terminally unsuccessful point (failed or
-// cancelled); the family continues past failures.
-func (s *Server) settleSweepPoint(sw *Sweep, p *sweepPoint, status Status, errMsg string) {
-	sw.mu.Lock()
-	p.status = status
-	p.err = errMsg
-	sw.mu.Unlock()
-	if status == StatusFailed {
-		s.journalAppend(journal.Record{Op: journal.OpSweepPointFailed, JobID: sw.ID,
-			Point: p.pt.Index + 1, SpecHash: p.pt.Hash, Error: errMsg})
-		sw.publish(Event{Type: EventPointFailed, Point: p.pt.Index + 1,
-			Value: p.pt.Value, Error: errMsg})
-	}
-}
-
-// parkSweep marks a drain-interrupted family in memory without a terminal
-// journal record: the accepted record is still live, so the next start
-// re-enqueues the family and only unfinished points re-run.
-func (s *Server) parkSweep(sw *Sweep) {
-	sw.mu.Lock()
-	if sw.status.Terminal() {
-		sw.mu.Unlock()
-		return
-	}
-	sw.status = StatusInterrupted
-	sw.finished = time.Now()
-	sw.mu.Unlock()
-	mJobsInterrupted.Inc()
-	sw.publish(Event{Type: string(StatusInterrupted)})
-}
-
-// settleSweep records the family's terminal outcome from its points'
-// states: cancelled beats failed beats done. Idempotent — the first
-// settle wins.
-func (s *Server) settleSweep(sw *Sweep) {
-	sw.mu.Lock()
-	if sw.status.Terminal() {
-		sw.mu.Unlock()
-		return
-	}
-	var failed int
-	for _, p := range sw.points {
-		if sw.cancelled && !p.status.Terminal() {
-			p.status = StatusCancelled
-		}
-		if p.status == StatusFailed {
-			failed++
-		}
-	}
-	status, op, errMsg := StatusDone, journal.OpSweepDone, ""
-	switch {
-	case sw.cancelled:
-		status, op = StatusCancelled, journal.OpSweepCancelled
-		errMsg = errSweepCancelled.Error()
-	case failed > 0:
-		status, op = StatusFailed, journal.OpSweepFailed
-		errMsg = fmt.Sprintf("%d of %d point(s) failed", failed, len(sw.points))
-	}
-	sw.status = status
-	sw.errMsg = errMsg
-	sw.finished = time.Now()
-	sw.mu.Unlock()
-
-	s.journalAppend(journal.Record{Op: op, JobID: sw.ID,
-		SpecHash: sw.FamilyHash, Error: errMsg})
-	switch status {
-	case StatusDone:
-		mSweepsCompleted.Inc()
-	case StatusFailed:
-		mSweepsFailed.Inc()
-	case StatusCancelled:
-		mSweepsCancelled.Inc()
-	}
-	sw.publish(Event{Type: string(status), Error: errMsg})
-	s.compactIfNeeded(false)
-}
-
-// --- HTTP surface ---
 
 func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(body) > maxSpecBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, errors.New("sweep document too large"))
+	body, ok := readDoc(w, r, "sweep")
+	if !ok {
 		return
 	}
 	ss, err := runspec.ParseSweep(body)
@@ -745,70 +81,13 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	sw, err := s.SubmitSweep(ss)
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		writeAPIError(w, http.StatusServiceUnavailable, codeQueueFull, err.Error(), s.EstimateWait(&ss.Base))
-		return
-	case errors.Is(err, ErrShuttingDown):
-		writeAPIError(w, http.StatusServiceUnavailable, codeShuttingDown, err.Error(), 0)
-		return
-	case errors.Is(err, errSweepTooLarge):
-		writeAPIError(w, http.StatusBadRequest, codeInvalidArgument, err.Error(), 0)
-		return
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	status := http.StatusAccepted
-	if v := sw.view(false); v.Status.Terminal() {
-		// Every point answered from cache: the family is already settled.
-		status = http.StatusOK
-	}
-	writeJSON(w, status, sw.view(true))
-}
-
-func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	sweeps := make([]*Sweep, 0, len(s.sweepOrder))
-	for _, id := range s.sweepOrder {
-		sweeps = append(sweeps, s.sweeps[id])
-	}
-	s.mu.Unlock()
-	views := make([]SweepView, len(sweeps))
-	for i, sw := range sweeps {
-		views[i] = sw.view(false)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"sweeps": views})
-}
-
-func (s *Server) sweep(w http.ResponseWriter, r *http.Request) *Sweep {
-	s.mu.Lock()
-	sw := s.sweeps[r.PathValue("id")]
-	s.mu.Unlock()
-	if sw == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no sweep %q", r.PathValue("id")))
-	}
-	return sw
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if sw := s.sweep(w, r); sw != nil {
-		writeJSON(w, http.StatusOK, sw.view(true))
-	}
-}
-
-func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
-	if sw := s.sweep(w, r); sw != nil {
-		streamEvents(w, r, sw)
-	}
+	f, err := s.SubmitSweep(ss)
+	s.answerSubmit(w, f, err, &ss.Base)
 }
 
 func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
-	sw := s.sweep(w, r)
-	if sw == nil {
-		return
+	if f := s.lookup(w, r, "sweep"); f != nil {
+		s.CancelSweep(f.ID)
+		writeJSON(w, http.StatusOK, f.view(true))
 	}
-	s.CancelSweep(sw.ID)
-	writeJSON(w, http.StatusOK, sw.view(true))
 }

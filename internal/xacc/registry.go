@@ -174,25 +174,3 @@ func init() {
 		},
 	}))
 }
-
-// RegisterAccelerator installs a named backend factory in DefaultRegistry.
-//
-// Deprecated: use DefaultRegistry.Register, which carries a description
-// and lookup-time options.
-func RegisterAccelerator(name string, factory func() Accelerator) {
-	_ = DefaultRegistry.Register(name, Entry{
-		Factory: func(AcceleratorOptions) Accelerator { return factory() },
-	})
-}
-
-// GetAccelerator instantiates a registered backend with default options.
-//
-// Deprecated: use DefaultRegistry.New.
-func GetAccelerator(name string) (Accelerator, error) {
-	return DefaultRegistry.New(name, AcceleratorOptions{})
-}
-
-// AcceleratorNames lists registered backends, sorted.
-//
-// Deprecated: use DefaultRegistry.Names.
-func AcceleratorNames() []string { return DefaultRegistry.Names() }

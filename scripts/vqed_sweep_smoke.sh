@@ -6,9 +6,13 @@
 # order), then SIGKILL the daemon mid-curve and restart it on the same
 # address and spool. The gate requires the family to survive the crash
 # (no 404 after restart), resume with only the unfinished points re-run,
-# and settle with every point done exactly once. Writes the final family
-# view — the full dissociation curve — to sweep_curve.json (CI uploads it
-# as an artifact).
+# and settle with every point done exactly once. Worker faults are armed
+# (VQED_FAULTS: panics and watchdog-tripping stalls, at most one per point
+# per process), so points retry on both sides of the crash: the gate also
+# requires that retries happened and that no point's attempt counter ever
+# exceeds the -retries budget — a point's spent retries are journaled, so
+# the restart cannot refill them. Writes the final family view — the full
+# dissociation curve — to sweep_curve.json (CI uploads it as an artifact).
 set -eu
 
 VQED_BIN=${VQED_BIN:-bin/vqed}
@@ -19,6 +23,9 @@ CURVE_OUT=${SWEEP_CURVE:-sweep_curve.json}
 SWEEP_SPEC='{"base":{"molecule":{"kind":"h2"},"optimizer":{"method":"nelder-mead","max_iter":400}},"axis":{"param":"distance","start":0.4,"stop":2.0,"step":0.01}}'
 POINTS=161
 KILL_AFTER=${SWEEP_KILL_AFTER:-15}
+RETRIES=2
+# Stalls outlast the 1s stall timeout, so each one trips the watchdog.
+FAULTS=${SWEEP_FAULTS:-seed=11,panic=0.02,stall=0.01,stall_ms=3000,max=8}
 
 . "$(dirname "$0")/daemon_lib.sh"
 LOAD_PID=
@@ -34,10 +41,11 @@ trap cleanup_all EXIT INT TERM HUP
 
 # One worker: the family must make progress strictly in axis order for the
 # observer's prefix assertion to be airtight.
-DAEMON_FLAGS="-jobs 1"
+DAEMON_FLAGS="-jobs 1 -retries $RETRIES -stall-timeout 1s"
+export VQED_FAULTS="$FAULTS"
 # shellcheck disable=SC2086 # DAEMON_FLAGS is a flag list, splitting intended
 start_vqed $DAEMON_FLAGS
-echo "vqed up at $VQED_BASE"
+echo "vqed up at $VQED_BASE (faults: $FAULTS)"
 ADDR=${VQED_BASE#http://}
 
 # done_count reads the family's aggregate done counter from the listing
@@ -116,8 +124,16 @@ wait "$LOAD_PID" || rc=$?
 LOAD_PID=
 [ "$rc" -eq 0 ] || fail_with_log "sweep observer failed (exit $rc)"
 
+# The faults must have exercised the retry path, and no point may have
+# spent more than its budget across the crash.
+RETRIED=$(grep -c 'failed retryably' "$VQED_LOG" || true)
+[ "$RETRIED" -ge 1 ] || fail_with_log "armed faults caused no point retries"
+MAX_ATTEMPT=$(sed -n 's/.*"attempt": *\([0-9]*\).*/\1/p' "$CURVE_OUT" | sort -n | tail -1)
+[ "${MAX_ATTEMPT:-0}" -le "$RETRIES" ] ||
+    fail_with_log "a point ran attempt $MAX_ATTEMPT, over the -retries budget $RETRIES"
+
 grep -c '"status": "done"' "$CURVE_OUT" >/dev/null ||
     fail_with_log "no curve written to $CURVE_OUT"
 
 stop_vqed
-echo "vqed sweep smoke: ok (killed at $D_KILL/$POINTS, resumed to completion; curve: $CURVE_OUT)"
+echo "vqed sweep smoke: ok (killed at $D_KILL/$POINTS, $RETRIED point retries, resumed to completion; curve: $CURVE_OUT)"
