@@ -11,7 +11,7 @@ GOVULNCHECK_VERSION = v1.1.4
 # Coverage floor for the telemetry package (CI enforces the same number).
 TELEMETRY_COVER_MIN = 60
 
-.PHONY: all build test vet vqelint lint-baseline lint vuln race bench bench-smoke chaos chaos-tests vqed-chaos vqed-smoke load-smoke sweep-smoke cover figures check ci
+.PHONY: all build test vet vqelint lint-baseline lint vuln race bench bench-smoke chaos chaos-tests vqed-chaos vqed-smoke load-smoke sweep-smoke perfbench-check cover figures check ci
 
 all: check
 
@@ -126,6 +126,13 @@ sweep-smoke:
 	$(GO) build -o bin/vqeload ./cmd/vqeload
 	VQED_BIN=bin/vqed VQELOAD_BIN=bin/vqeload sh scripts/vqed_sweep_smoke.sh
 
+# perfbench-check vets and tests the benchmark harness. perfbench is its
+# own module (it replaces repro with ../), so `go build ./...` at the root
+# never compiles it; this target is what catches an API change that
+# breaks the harness.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 bench:
 	$(GO) test -bench BenchmarkBatchedExpectation -benchtime 1x -run ^$$ .
 
@@ -156,4 +163,4 @@ check: build vet test race bench figures
 # ci mirrors the GitHub Actions workflow jobs (test, lint, vqelint, vuln,
 # coverage, bench-smoke, chaos-smoke, chaos-recovery, vqed-smoke,
 # load-smoke, sweep-smoke) so `make ci` locally means green CI.
-ci: build lint vuln test race cover bench-smoke chaos vqed-smoke load-smoke sweep-smoke
+ci: build perfbench-check lint vuln test race cover bench-smoke chaos vqed-smoke load-smoke sweep-smoke

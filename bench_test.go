@@ -10,13 +10,13 @@ package vqesim
 // headline numbers as custom metrics so regressions show up in CI.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
 	"time"
 
 	"repro/internal/ansatz"
-	"repro/internal/batch"
 	"repro/internal/chem"
 	"repro/internal/circuit"
 	"repro/internal/cluster"
@@ -146,11 +146,11 @@ func BenchmarkFig5AdaptVQE(b *testing.B) {
 	var iters int
 	var finalErr float64
 	for i := 0; i < b.N; i++ {
-		res, err := vqe.Adapt(h, pool, 12, 8, vqe.AdaptOptions{
+		res, err := vqe.AdaptContext(context.Background(), h, pool, 12, 8, vqe.AdaptOptions{
 			MaxIterations: 25,
 			Reference:     fci.Energy,
 			EnergyTol:     core.ChemicalAccuracy,
-		})
+		}, vqe.ResilienceOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -244,7 +244,9 @@ func BenchmarkClusterBackend(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				cl.Run(c)
+				if err := cl.RunContext(context.Background(), c); err != nil {
+					b.Fatal(err)
+				}
 				moved = cl.Stats().BytesTransferred
 			}
 			b.ReportMetric(float64(moved)/(1<<20), "MiB_moved")
@@ -466,12 +468,12 @@ func BenchmarkDensityNoise(b *testing.B) {
 // path) so facade-level regressions are visible.
 func BenchmarkVQEEndToEnd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := GroundStateVQE(H2(), VQEConfig{})
+		res, err := Run(context.Background(), &RunSpec{}, RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.ErrorVsFCI > 1e-5 {
-			b.Fatalf("H2 VQE failed to converge: %v", res.ErrorVsFCI)
+		if res.ErrorVsExact > 1e-5 {
+			b.Fatalf("H2 VQE failed to converge: %v", res.ErrorVsExact)
 		}
 	}
 }
@@ -550,30 +552,6 @@ func BenchmarkTrajectoryNoise(b *testing.B) {
 			noise.Options{Trajectories: 100, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkBatchThroughput measures the §6.2 batched-execution scheduler
-// evaluating many parameter sets concurrently versus sequentially.
-func BenchmarkBatchThroughput(b *testing.B) {
-	h := chem.QubitHamiltonian(chem.H2())
-	u, err := ansatz.NewUCCSD(4, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sets := make([][]float64, 32)
-	for i := range sets {
-		sets[i] = []float64{0.01 * float64(i), -0.02 * float64(i), 0.005 * float64(i)}
-	}
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			p := batch.NewPool(workers)
-			for i := 0; i < b.N; i++ {
-				if _, err := p.Energies(h, u, sets); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -217,11 +218,11 @@ func fig5(fast bool) {
 	if fast {
 		maxIter = 6
 	}
-	res, err := vqe.Adapt(h, pool, 12, 8, vqe.AdaptOptions{
+	res, err := vqe.AdaptContext(context.Background(), h, pool, 12, 8, vqe.AdaptOptions{
 		MaxIterations: maxIter,
 		Reference:     fci.Energy,
 		EnergyTol:     core.ChemicalAccuracy,
-	})
+	}, vqe.ResilienceOptions{})
 	if err != nil {
 		fail(err)
 	}

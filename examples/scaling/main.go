@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -54,7 +55,9 @@ func main() {
 			log.Fatal(err)
 		}
 		start := time.Now()
-		cl.Run(c)
+		if err := cl.RunContext(context.Background(), c); err != nil {
+			log.Fatal(err)
+		}
 		elapsed := time.Since(start)
 		st := cl.Stats()
 		fmt.Printf("  ranks=%d: %8v  local=%d global=%d swaps=%d moved=%.1f MiB\n",

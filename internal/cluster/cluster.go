@@ -385,21 +385,11 @@ func (c *Cluster) freeLocalQubits(used ...int) []int {
 	return out
 }
 
-// ApplyGate dispatches one gate, remapping global qubits to local slots as
-// needed. Non-unitary markers are rejected (the cluster backend serves
-// expectation-value workloads; use the single-node engine for mid-circuit
-// measurement). A communication failure that survives the retry policy is
-// unrecoverable at this level and panics; use ApplyGateContext to handle
-// it as an error.
-func (c *Cluster) ApplyGate(g gate.Gate) {
-	if err := c.applyGate(context.Background(), g); err != nil {
-		panic(fmt.Errorf("cluster: unrecoverable communication failure: %w", err))
-	}
-}
-
-// ApplyGateContext applies one gate under a context: cancellation aborts
-// in-flight retries, and exhausted transfers surface as errors instead
-// of panics.
+// ApplyGateContext dispatches one gate, remapping global qubits to local
+// slots as needed. Non-unitary markers are rejected (the cluster backend
+// serves expectation-value workloads; use the single-node engine for
+// mid-circuit measurement). Cancellation aborts in-flight retries, and
+// exhausted transfers surface as errors.
 func (c *Cluster) ApplyGateContext(ctx context.Context, g gate.Gate) error {
 	return c.applyGate(ctx, g)
 }
@@ -464,13 +454,6 @@ func (c *Cluster) applyGate(ctx context.Context, g gate.Gate) error {
 		return nil
 	default:
 		panic(fmt.Sprintf("cluster: arity %d", g.Arity()))
-	}
-}
-
-// Run applies a circuit.
-func (c *Cluster) Run(circ *circuit.Circuit) {
-	if err := c.RunContext(context.Background(), circ); err != nil {
-		panic(fmt.Errorf("cluster: run: %w", err))
 	}
 }
 

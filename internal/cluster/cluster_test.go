@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -49,7 +50,7 @@ func compare(t *testing.T, n, ranks int, c *circuit.Circuit) *Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl.Run(c)
+	mustRun(t, cl, c)
 	ref := state.New(n, state.Options{})
 	ref.Run(c)
 	got := cl.Gather()
@@ -134,7 +135,7 @@ func TestRandomCircuitsAllRankCounts(t *testing.T) {
 
 func TestNormPreserved(t *testing.T) {
 	cl, _ := New(6, 4)
-	cl.Run(randomCircuit(6, 40, 99))
+	mustRun(t, cl, randomCircuit(6, 40, 99))
 	if math.Abs(cl.Norm()-1) > 1e-9 {
 		t.Errorf("norm %v", cl.Norm())
 	}
@@ -156,7 +157,7 @@ func TestGHZAcrossRanks(t *testing.T) {
 
 func TestToState(t *testing.T) {
 	cl, _ := New(4, 2)
-	cl.Run(circuit.New(4).H(0).CX(0, 3))
+	mustRun(t, cl, circuit.New(4).H(0).CX(0, 3))
 	s, err := cl.ToState()
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +176,7 @@ func TestCommunicationScalesWithRanks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cl.Run(c)
+		mustRun(t, cl, c)
 		msgs := cl.Stats().Messages
 		if msgs < prev {
 			t.Errorf("messages decreased with more ranks: %d → %d", prev, msgs)
@@ -191,12 +192,14 @@ func TestRejectsMeasurement(t *testing.T) {
 			t.Error("measurement accepted")
 		}
 	}()
-	cl.ApplyGate(gate.New(gate.Measure, 0))
+	_ = cl.ApplyGateContext(context.Background(), gate.New(gate.Measure, 0))
 }
 
 func TestBarrierIsNoop(t *testing.T) {
 	cl, _ := New(4, 2)
-	cl.ApplyGate(gate.New(gate.Barrier))
+	if err := cl.ApplyGateContext(context.Background(), gate.New(gate.Barrier)); err != nil {
+		t.Fatal(err)
+	}
 	if cl.Stats().LocalGates != 0 {
 		t.Error("barrier counted as gate")
 	}
@@ -207,7 +210,7 @@ func TestFusedGatesOnCluster(t *testing.T) {
 	c := randomCircuit(6, 30, 7)
 	f := circuit.Transpile(c, circuit.DefaultTranspileOptions())
 	cl, _ := New(6, 4)
-	cl.Run(f)
+	mustRun(t, cl, f)
 	ref := state.New(6, state.Options{})
 	ref.Run(c)
 	got := cl.Gather()
@@ -215,5 +218,13 @@ func TestFusedGatesOnCluster(t *testing.T) {
 		if !core.AlmostEqualC(got[i], w, 1e-9) {
 			t.Fatalf("fused cluster run diverges at %d", i)
 		}
+	}
+}
+
+// mustRun applies c to cl, failing the test on a communication error.
+func mustRun(t *testing.T, cl *Cluster, c *circuit.Circuit) {
+	t.Helper()
+	if err := cl.RunContext(context.Background(), c); err != nil {
+		t.Fatal(err)
 	}
 }

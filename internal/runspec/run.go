@@ -47,9 +47,9 @@ type RunOptions struct {
 	// daemon's scheduler); nil lets each run size its own.
 	Pool *state.Pool
 	// CheckpointPath overrides spec.Resilience.CheckpointPath (the daemon
-	// assigns each job a spool path). Checkpointing is honored on the
-	// in-process nwq-sv path (vqe and adapt); accelerator-routed runs
-	// ignore it.
+	// assigns each job a spool path). vqe runs checkpoint on every
+	// backend, adapt runs on nwq-sv (the only backend adapt accepts); qpe
+	// never checkpoints.
 	CheckpointPath string
 	// OnProgress, when set, receives one Progress per iteration. Called
 	// from the run's goroutine; keep it fast.
@@ -61,9 +61,7 @@ type RunOptions struct {
 	// converged run reports.
 	InitialParams []float64
 	// Shared caches molecule/observable/FCI construction across the
-	// points of a sweep family. Only meaningful on the Run entry point
-	// (RunOnMolecule bypasses spec-derived construction); nil builds
-	// everything per run.
+	// points of a sweep family; nil builds everything per run.
 	Shared *BuildCache
 }
 
@@ -208,34 +206,6 @@ func Run(ctx context.Context, spec *RunSpec, opts RunOptions) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return run(ctx, m, &c, opts)
-}
-
-// RunOnMolecule executes a spec's algorithm sections against an
-// already-built molecule — the adapter the legacy facade entry points
-// (vqesim.GroundStateVQE and friends) use, since an arbitrary
-// MolecularData value has no declarative spec. The molecule section of
-// the spec is ignored; the result's SpecHash is empty because the run is
-// not content-addressable.
-func RunOnMolecule(ctx context.Context, m *chem.MolecularData, spec *RunSpec, opts RunOptions) (*Result, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	c := *spec
-	c.ApplyDefaults()
-	// The cache keys on the spec's molecule section, which this entry
-	// point ignores — sharing here would alias unrelated molecules.
-	opts.Shared = nil
-	res, err := run(ctx, m, &c, opts)
-	if err != nil {
-		return nil, err
-	}
-	res.SpecHash = ""
-	return res, nil
-}
-
-// run executes a defaulted spec on a built molecule.
-func run(ctx context.Context, m *chem.MolecularData, c *RunSpec, opts RunOptions) (*Result, error) {
 	started := time.Now()
 	// Setup-phase heartbeats: observable mapping and the FCI reference can
 	// take long enough on large systems that a silent gap would look like
@@ -303,11 +273,11 @@ func run(ctx context.Context, m *chem.MolecularData, c *RunSpec, opts RunOptions
 
 	switch c.Algorithm {
 	case AlgorithmQPE:
-		err = runQPE(ctx, c, h, n, ne, res)
+		err = runQPE(ctx, &c, h, n, ne, res)
 	case AlgorithmAdapt:
-		err = runAdapt(ctx, c, h, n, ne, fciEnergy, ro, opts, res)
+		err = runAdapt(ctx, &c, h, n, ne, fciEnergy, ro, opts, res)
 	default:
-		err = runVQE(ctx, c, h, n, ne, ro, opts, res)
+		err = runVQE(ctx, &c, h, n, ne, ro, opts, res)
 	}
 	if err != nil {
 		return nil, err
@@ -378,36 +348,16 @@ func runAdapt(ctx context.Context, c *RunSpec, h *pauli.Op, n, ne int, fciE floa
 	return nil
 }
 
-// runVQE dispatches fixed-ansatz VQE: the in-process driver for the
-// default state-vector backend (full feature set — modes, caching,
-// adjoint gradients, checkpointing), or the accelerator-routed XACC loop
-// for everything else in the registry.
+// runVQE runs fixed-ansatz VQE through the one driver loop. nwq-sv
+// evaluates energies on the driver's own state vector (every mode,
+// caching, adjoint gradients); any other registry backend evaluates them
+// through its Expectation. Checkpoints, resume, warm starts and progress
+// behave the same either way.
 func runVQE(ctx context.Context, c *RunSpec, h *pauli.Op, n, ne int, ro vqe.ResilienceOptions, opts RunOptions, res *Result) error {
 	a, err := buildAnsatz(c, n, ne)
 	if err != nil {
 		return err
 	}
-	if c.Backend.Accelerator == "nwq-sv" {
-		return runDriverVQE(ctx, c, h, a, ro, opts, res)
-	}
-	return runAcceleratorVQE(ctx, c, h, n, a, opts, res)
-}
-
-func buildAnsatz(c *RunSpec, n, ne int) (ansatz.Ansatz, error) {
-	switch c.Ansatz.Kind {
-	case "uccsd":
-		enc, err := encodingFor(c.Encoding, n)
-		if err != nil {
-			return nil, err
-		}
-		return ansatz.NewUCCSDWithEncoding(n, ne, enc)
-	case "hea":
-		return ansatz.NewHardwareEfficient(n, c.Ansatz.Layers, 0)
-	}
-	return nil, fmt.Errorf("%w: runspec: unknown ansatz %q", core.ErrInvalidArgument, c.Ansatz.Kind)
-}
-
-func runDriverVQE(ctx context.Context, c *RunSpec, h *pauli.Op, a ansatz.Ansatz, ro vqe.ResilienceOptions, opts RunOptions, res *Result) error {
 	mode := vqe.Direct
 	switch c.Mode {
 	case "rotated":
@@ -415,14 +365,26 @@ func runDriverVQE(ctx context.Context, c *RunSpec, h *pauli.Op, a ansatz.Ansatz,
 	case "sampled":
 		mode = vqe.Sampled
 	}
-	drv, err := vqe.New(h, a, vqe.Options{
+	vo := vqe.Options{
 		Mode:      mode,
 		Shots:     c.Shots,
 		Caching:   !c.DisableCaching && mode != vqe.Direct,
 		Workers:   c.Backend.Workers,
 		Transpile: c.Fusion,
 		Pool:      opts.Pool,
-	})
+	}
+	if c.Backend.Accelerator != "nwq-sv" {
+		acc, err := xacc.DefaultRegistry.New(c.Backend.Accelerator, c.Backend.AcceleratorOptions())
+		if err != nil {
+			return err
+		}
+		if n > acc.NumQubitsLimit() {
+			return fmt.Errorf("%w: runspec: %d qubits exceed backend %q limit of %d",
+				core.ErrInvalidArgument, n, c.Backend.Accelerator, acc.NumQubitsLimit())
+		}
+		vo.Backend = acc
+	}
+	drv, err := vqe.New(h, a, vo)
 	if err != nil {
 		return err
 	}
@@ -436,7 +398,10 @@ func runDriverVQE(ctx context.Context, c *RunSpec, h *pauli.Op, a ansatz.Ansatz,
 	switch c.Optimizer.Method {
 	case "nelder-mead":
 		o := opt.NelderMeadOptions{MaxIter: c.Optimizer.MaxIter}
-		if o.MaxIter == 0 {
+		if o.MaxIter == 0 && vo.Backend == nil {
+			// nwq-sv has always defaulted Nelder–Mead to 5000 iterations
+			// and the other backends to opt's 200·dim; equal spec hashes
+			// must keep computing equal bits, so both defaults stay.
 			o.MaxIter = 5000
 		}
 		if opts.OnProgress != nil {
@@ -470,44 +435,16 @@ func runDriverVQE(ctx context.Context, c *RunSpec, h *pauli.Op, a ansatz.Ansatz,
 	return nil
 }
 
-func runAcceleratorVQE(ctx context.Context, c *RunSpec, h *pauli.Op, n int, a ansatz.Ansatz, opts RunOptions, res *Result) error {
-	if c.Mode != "direct" {
-		return fmt.Errorf("%w: runspec: backend %q only supports mode direct (got %q)",
-			core.ErrInvalidArgument, c.Backend.Accelerator, c.Mode)
-	}
-	acc, err := xacc.DefaultRegistry.New(c.Backend.Accelerator, c.Backend.AcceleratorOptions())
-	if err != nil {
-		return err
-	}
-	if n > acc.NumQubitsLimit() {
-		return fmt.Errorf("%w: runspec: %d qubits exceed backend %q limit of %d",
-			core.ErrInvalidArgument, n, c.Backend.Accelerator, acc.NumQubitsLimit())
-	}
-	alg := &xacc.VQE{
-		Observable:  h,
-		Ansatz:      a,
-		Accelerator: acc,
-		Optimizer:   c.Optimizer.Method,
-		MaxIter:     c.Optimizer.MaxIter,
-	}
-	if opts.OnProgress != nil {
-		alg.OnIteration = func(iter int, energy float64) error {
-			opts.OnProgress(Progress{Phase: AlgorithmVQE, Iteration: iter, Energy: energy})
-			return nil
+func buildAnsatz(c *RunSpec, n, ne int) (ansatz.Ansatz, error) {
+	switch c.Ansatz.Kind {
+	case "uccsd":
+		enc, err := encodingFor(c.Encoding, n)
+		if err != nil {
+			return nil, err
 		}
+		return ansatz.NewUCCSDWithEncoding(n, ne, enc)
+	case "hea":
+		return ansatz.NewHardwareEfficient(n, c.Ansatz.Layers, 0)
 	}
-	var x0 []float64
-	if len(opts.InitialParams) == a.NumParameters() {
-		x0 = opts.InitialParams
-	}
-	out, err := alg.ExecuteContext(ctx, x0)
-	if err != nil {
-		return err
-	}
-	res.Energy = out.Energy
-	res.Params = out.Params
-	res.Converged = out.OptimizerResult.Converged
-	res.Interrupted = out.Interrupted
-	res.EnergyEvaluations = out.EnergyEvaluations
-	return nil
+	return nil, fmt.Errorf("%w: runspec: unknown ansatz %q", core.ErrInvalidArgument, c.Ansatz.Kind)
 }

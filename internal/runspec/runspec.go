@@ -236,7 +236,8 @@ func lowerDefault(v, def string) string {
 // Validate checks the spec after defaulting, wrapping every failure in
 // core.ErrInvalidArgument so callers can errors.Is against the engine's
 // sentinel. It does not consult the accelerator registry — backend names
-// resolve at run time so specs stay portable across builds.
+// resolve at run time so specs stay portable across builds — but any
+// name other than nwq-sv must run vqe in direct mode.
 func (s *RunSpec) Validate() error {
 	c := *s
 	c.ApplyDefaults()
@@ -290,6 +291,19 @@ func (s *RunSpec) Validate() error {
 		// Adjoint gradients need the exponential ansatz structure; the
 		// hardware-efficient family only supports derivative-free search.
 		return fmt.Errorf("%w: runspec: ansatz hea requires optimizer.method nelder-mead", core.ErrInvalidArgument)
+	}
+	if c.Backend.Accelerator != "nwq-sv" {
+		// Any other backend is reached through its Expectation alone: no
+		// measurement circuits to rotate or sample, and no amplitudes for
+		// adapt's pool scan or for qpe.
+		if c.Mode != "direct" {
+			return fmt.Errorf("%w: runspec: backend %q supports only mode direct (got %q)",
+				core.ErrInvalidArgument, c.Backend.Accelerator, c.Mode)
+		}
+		if c.Algorithm != AlgorithmVQE {
+			return fmt.Errorf("%w: runspec: backend %q runs only algorithm vqe (got %q)",
+				core.ErrInvalidArgument, c.Backend.Accelerator, c.Algorithm)
+		}
 	}
 	//vqelint:ignore workerssemantics validation bounds check, not a sentinel read — 0 and 1 both pass through untouched
 	if c.Backend.Ranks < 0 || c.Backend.Workers < 0 {

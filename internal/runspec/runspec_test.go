@@ -159,6 +159,35 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
+// TestValidateBackendRules: a backend other than nwq-sv is reached only
+// through its Expectation, so Validate refuses rotated/sampled modes and
+// the adapt/qpe algorithms there by name, without a registry lookup.
+func TestValidateBackendRules(t *testing.T) {
+	bad := map[string]RunSpec{
+		"rotated off nwq-sv": {Mode: "rotated", Backend: BackendSpec{Accelerator: "nwq-cluster"}},
+		"sampled off nwq-sv": {Mode: "sampled", Backend: BackendSpec{Accelerator: "nwq-dm"}},
+		"adapt off nwq-sv":   {Algorithm: "adapt", Backend: BackendSpec{Accelerator: "nwq-sv-serial"}},
+		"qpe off nwq-sv":     {Algorithm: "qpe", Backend: BackendSpec{Accelerator: "nwq-resilient"}},
+		"unregistered name":  {Mode: "sampled", Backend: BackendSpec{Accelerator: "hal9000"}},
+	}
+	for name, spec := range bad {
+		if err := spec.Validate(); !errors.Is(err, core.ErrInvalidArgument) {
+			t.Errorf("%s: expected ErrInvalidArgument, got %v", name, err)
+		}
+	}
+	good := []RunSpec{
+		{Backend: BackendSpec{Accelerator: "nwq-cluster"}},
+		{Backend: BackendSpec{Accelerator: "hal9000"}}, // resolved at run time
+		{Algorithm: "adapt", Mode: "rotated"},          // nwq-sv runs everything
+		{Algorithm: "qpe"},
+	}
+	for i, spec := range good {
+		if err := spec.Validate(); err != nil {
+			t.Errorf("case %d: %v", i, err)
+		}
+	}
+}
+
 func TestApplyDefaults(t *testing.T) {
 	s := RunSpec{Algorithm: "ADAPT", Molecule: MoleculeSpec{Kind: " Hubbard "}}
 	s.ApplyDefaults()

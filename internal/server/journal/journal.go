@@ -333,11 +333,17 @@ func (j *Journal) Appended() int {
 	return j.appended
 }
 
-// Compact atomically replaces the journal contents with exactly the
-// given records (the caller's snapshot of live state): they are written
+// Compact atomically replaces the journal contents with the records
+// snapshot returns (the caller's view of live state): they are written
 // to a temp file in the same directory, fsynced, and renamed over the
 // journal, so a crash mid-compaction leaves the previous journal intact.
-func (j *Journal) Compact(live []Record) error {
+//
+// snapshot runs under the journal lock, after every earlier append is
+// durable and before the swap, so no append can land in the old file
+// once the snapshot is taken: each record is either reflected in the
+// snapshot (callers mutate state before appending its record) or
+// appended to the new file. snapshot must not append.
+func (j *Journal) Compact(snapshot func() []Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.err != nil {
@@ -355,6 +361,7 @@ func (j *Journal) Compact(live []Record) error {
 	if j.err != nil {
 		return j.err
 	}
+	live := snapshot()
 
 	dir := filepath.Dir(j.path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(j.path)+".tmp*")

@@ -207,7 +207,7 @@ func TestCompact(t *testing.T) {
 		{Op: OpAccepted, JobID: "job-000050", SpecHash: "rs1:live"},
 		{Op: OpCheckpointed, JobID: "job-000050", Checkpoint: "ck"},
 	}
-	if err := j.Compact(live); err != nil {
+	if err := j.Compact(func() []Record { return live }); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
 	if got := j.Appended(); got != 0 {
@@ -291,7 +291,7 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	if err := j.Append(Record{Op: OpAccepted, JobID: "job-000001"}); err == nil {
 		t.Fatal("Append after Close succeeded")
 	}
-	if err := j.Compact(nil); err == nil {
+	if err := j.Compact(func() []Record { return nil }); err == nil {
 		t.Fatal("Compact after Close succeeded")
 	}
 	if err := j.Close(); err != nil {
@@ -335,7 +335,7 @@ func TestCompactConcurrentWithAppends(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 5; i++ {
-		if err := j.Compact([]Record{{Op: OpAccepted, JobID: "live"}}); err != nil {
+		if err := j.Compact(func() []Record { return []Record{{Op: OpAccepted, JobID: "live"}} }); err != nil {
 			t.Fatalf("Compact %d: %v", i, err)
 		}
 	}

@@ -336,7 +336,9 @@ const compactThreshold = 512
 // liveSnapshot rebuilds the minimal record set that reproduces the
 // current family table: the accepted record for every family, the
 // outcome record of every settled task, the spent-retry and checkpoint
-// facts of open ones, and a settled sweep's terminal record.
+// facts of open ones, and a settled sweep's terminal record. Compact
+// calls it under the journal lock; that is safe because nothing appends
+// while holding s.mu or a family lock.
 func (s *Server) liveSnapshot() []journal.Record {
 	// Snapshot the family list under s.mu, then read each family under its
 	// own lock only after s.mu is released (same lock-order discipline as
@@ -394,7 +396,7 @@ func (s *Server) compactIfNeeded(force bool) {
 		return
 	}
 	defer s.compacting.Store(false)
-	if err := jn.Compact(s.liveSnapshot()); err != nil {
+	if err := jn.Compact(s.liveSnapshot); err != nil {
 		s.degrade(fmt.Sprintf("journal compaction failed: %v", err))
 	}
 }

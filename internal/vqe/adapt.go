@@ -70,15 +70,11 @@ type AdaptResult struct {
 	TotalStats Stats
 }
 
-// Adapt runs Adapt-VQE: repeatedly pick the pool operator with the largest
-// energy gradient, append it to the ansatz, and re-optimize all
-// parameters. Ref: Grimsley et al. (paper refs [4, 16, 17]).
-func Adapt(h *pauli.Op, pool *ansatz.Pool, n, ne int, o AdaptOptions) (*AdaptResult, error) {
-	return AdaptContext(context.Background(), h, pool, n, ne, o, ResilienceOptions{})
-}
-
-// AdaptContext is Adapt with deadline-aware cancellation and outer-loop
-// checkpointing. The checkpoint unit is one completed outer iteration
+// AdaptContext runs Adapt-VQE: repeatedly pick the pool operator with
+// the largest energy gradient, append it to the ansatz, and re-optimize
+// all parameters (Grimsley et al., paper refs [4, 16, 17]). It honors
+// deadline-aware cancellation and outer-loop checkpointing (the zero
+// ResilienceOptions disables persistence). The checkpoint unit is one completed outer iteration
 // (pool selection + inner re-optimization): interrupting mid-iteration
 // discards only that iteration's partial work, and resuming replays the
 // recorded operator selections through ansatz.Grow before continuing.

@@ -65,12 +65,88 @@ func (r ResilienceOptions) loadResume(wantKind string, st any) (found bool, err 
 }
 
 // EnergyContext evaluates ⟨H⟩ under a context: a canceled or expired
-// context is honored before the (potentially expensive) evaluation runs.
+// context is honored before the (potentially expensive) evaluation runs,
+// and a Backend's failure comes back as the error.
 func (d *Driver) EnergyContext(ctx context.Context, params []float64) (float64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
+	if d.opts.Backend != nil {
+		return d.backendEnergy(ctx, params)
+	}
 	return d.Energy(params), nil
+}
+
+// objective is the function the optimizers minimize. On a Backend the
+// first failure is kept in *failed and every later call returns NaN
+// without touching the backend; the loop guard then halts the optimizer
+// at the next iteration boundary, before anything is checkpointed.
+func (d *Driver) objective(ctx context.Context, failed *error) opt.Objective {
+	if d.opts.Backend == nil {
+		return d.Energy
+	}
+	return func(x []float64) float64 {
+		if *failed == nil {
+			e, err := d.backendEnergy(ctx, x)
+			if err == nil {
+				return e
+			}
+			*failed = err
+		}
+		return math.NaN()
+	}
+}
+
+// loopGuard builds the per-iteration observer both minimization loops
+// share. In order: a backend failure halts the loop; the caller's own
+// observer runs; an expired context halts it after a final checkpoint;
+// the checkpoint cadence writes a snapshot. A failed write halts the
+// loop and is kept in *cpErr.
+func loopGuard[S any](ctx context.Context, ro ResilienceOptions, kind string, iterOf func(*S) int,
+	prev func(*S) error, failed, cpErr *error) func(*S) error {
+	cad := resilience.Cadence{Interval: ro.CheckpointEvery}
+	return func(s *S) error {
+		if *failed != nil {
+			return *failed
+		}
+		if prev != nil {
+			if err := prev(s); err != nil {
+				return err
+			}
+		}
+		if err := ctx.Err(); err != nil {
+			resilience.NoteDeadlineCancel()
+			if ro.enabled() {
+				*cpErr = resilience.SaveCheckpoint(ro.CheckpointPath, kind, iterOf(s), s)
+			}
+			return err
+		}
+		if ro.enabled() && cad.Due(iterOf(s)) {
+			if err := resilience.SaveCheckpoint(ro.CheckpointPath, kind, iterOf(s), s); err != nil {
+				*cpErr = err
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// checkStart rejects a starting point that does not fit the ansatz.
+func (d *Driver) checkStart(x0 []float64) error {
+	if len(x0) != d.Ansatz.NumParameters() {
+		return fmt.Errorf("%w: x0 has %d parameters, the ansatz %d",
+			core.ErrDimensionMismatch, len(x0), d.Ansatz.NumParameters())
+	}
+	return nil
+}
+
+// result packages an optimizer outcome; a backend failure replaces it.
+func (d *Driver) result(res opt.Result, failed, cpErr error) (Result, error) {
+	if failed != nil {
+		return Result{}, failed
+	}
+	return Result{Energy: res.F, Params: res.X, Optimizer: res, Stats: d.Stats(),
+		CacheStats: d.CacheStats(), Interrupted: res.Interrupted}, cpErr
 }
 
 // MinimizeContext runs Nelder–Mead with checkpoint/restart and
@@ -79,50 +155,44 @@ func (d *Driver) EnergyContext(ctx context.Context, params []float64) (float64, 
 // written, so a later call with ResilienceOptions.Resume continues the
 // exact trajectory.
 func (d *Driver) MinimizeContext(ctx context.Context, x0 []float64, o opt.NelderMeadOptions, ro ResilienceOptions) (Result, error) {
+	if err := d.checkStart(x0); err != nil {
+		return Result{}, err
+	}
 	st := new(opt.NelderMeadState)
 	if found, err := ro.loadResume(KindNelderMead, st); err != nil {
 		return Result{}, err
 	} else if found {
 		o.Resume = st
 	}
-	cad := resilience.Cadence{Interval: ro.CheckpointEvery}
-	var cpErr error
-	prev := o.Observer
-	o.Observer = func(s *opt.NelderMeadState) error {
-		if prev != nil {
-			if err := prev(s); err != nil {
-				return err
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			resilience.NoteDeadlineCancel()
-			if ro.enabled() {
-				cpErr = resilience.SaveCheckpoint(ro.CheckpointPath, KindNelderMead, s.Iter, s)
-			}
-			return err
-		}
-		if ro.enabled() && cad.Due(s.Iter) {
-			if err := resilience.SaveCheckpoint(ro.CheckpointPath, KindNelderMead, s.Iter, s); err != nil {
-				cpErr = err
-				return err
-			}
-		}
-		return nil
-	}
+	var failed, cpErr error
+	o.Observer = loopGuard(ctx, ro, KindNelderMead, func(s *opt.NelderMeadState) int { return s.Iter },
+		o.Observer, &failed, &cpErr)
 	start := telemetry.Now()
-	res := opt.NelderMead(d.Energy, x0, o)
+	res := opt.NelderMead(d.objective(ctx, &failed), x0, o)
 	mPhaseOptimize.Since(start)
-	out := Result{Energy: res.F, Params: res.X, Optimizer: res, Stats: d.Stats(),
-		CacheStats: d.CacheStats(), Interrupted: res.Interrupted}
-	return out, cpErr
+	return d.result(res, failed, cpErr)
 }
 
 // MinimizeLBFGSContext is the L-BFGS counterpart of MinimizeContext,
-// with the same checkpoint and cancellation semantics.
+// with the same checkpoint and cancellation semantics. The in-process
+// engine supplies adjoint gradients, which need an exponential-structure
+// ansatz (UCCSD or Adapt); on a Backend the gradient is opt's central
+// finite difference of the energy.
 func (d *Driver) MinimizeLBFGSContext(ctx context.Context, x0 []float64, o opt.LBFGSOptions, ro ResilienceOptions) (Result, error) {
-	exp, ok := d.Ansatz.(Exponential)
-	if !ok {
-		return Result{}, fmt.Errorf("%w: ansatz does not expose exponential structure", core.ErrInvalidArgument)
+	if err := d.checkStart(x0); err != nil {
+		return Result{}, err
+	}
+	var grad opt.Gradient
+	if d.opts.Backend == nil {
+		exp, ok := d.Ansatz.(Exponential)
+		if !ok {
+			return Result{}, fmt.Errorf("%w: ansatz does not expose exponential structure", core.ErrInvalidArgument)
+		}
+		grad = func(x, g []float64) {
+			gradStart := telemetry.Now()
+			d.adjointGradient(exp, x, g)
+			mPhaseGradient.Since(gradStart)
+		}
 	}
 	st := new(opt.LBFGSState)
 	if found, err := ro.loadResume(KindLBFGS, st); err != nil {
@@ -130,41 +200,13 @@ func (d *Driver) MinimizeLBFGSContext(ctx context.Context, x0 []float64, o opt.L
 	} else if found {
 		o.Resume = st
 	}
-	cad := resilience.Cadence{Interval: ro.CheckpointEvery}
-	var cpErr error
-	prev := o.Observer
-	o.Observer = func(s *opt.LBFGSState) error {
-		if prev != nil {
-			if err := prev(s); err != nil {
-				return err
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			resilience.NoteDeadlineCancel()
-			if ro.enabled() {
-				cpErr = resilience.SaveCheckpoint(ro.CheckpointPath, KindLBFGS, s.Iter, s)
-			}
-			return err
-		}
-		if ro.enabled() && cad.Due(s.Iter) {
-			if err := resilience.SaveCheckpoint(ro.CheckpointPath, KindLBFGS, s.Iter, s); err != nil {
-				cpErr = err
-				return err
-			}
-		}
-		return nil
-	}
-	grad := func(x, g []float64) {
-		gradStart := telemetry.Now()
-		d.adjointGradient(exp, x, g)
-		mPhaseGradient.Since(gradStart)
-	}
+	var failed, cpErr error
+	o.Observer = loopGuard(ctx, ro, KindLBFGS, func(s *opt.LBFGSState) int { return s.Iter },
+		o.Observer, &failed, &cpErr)
 	start := telemetry.Now()
-	res := opt.LBFGS(d.Energy, grad, x0, o)
+	res := opt.LBFGS(d.objective(ctx, &failed), grad, x0, o)
 	mPhaseOptimize.Since(start)
-	out := Result{Energy: res.F, Params: res.X, Optimizer: res, Stats: d.Stats(),
-		CacheStats: d.CacheStats(), Interrupted: res.Interrupted}
-	return out, cpErr
+	return d.result(res, failed, cpErr)
 }
 
 // AdaptState is the Adapt-VQE outer-loop checkpoint payload: the pool

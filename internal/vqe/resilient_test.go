@@ -25,7 +25,10 @@ func TestMinimizeCrashResumeEquivalence(t *testing.T) {
 	o := opt.NelderMeadOptions{MaxIter: 2000}
 
 	ref, _ := New(h, u, Options{Mode: Direct})
-	full := ref.Minimize(x0, o)
+	full, err := ref.MinimizeContext(context.Background(), x0, o, ResilienceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.Abs(full.Energy-fci) > 1e-5 {
 		t.Fatalf("reference run off FCI: %v vs %v", full.Energy, fci)
 	}
@@ -89,7 +92,7 @@ func TestMinimizeLBFGSCrashResumeEquivalence(t *testing.T) {
 	o := opt.LBFGSOptions{MaxIter: 200}
 
 	ref, _ := New(h, u, Options{Mode: Direct})
-	full, err := ref.MinimizeLBFGS(x0, o)
+	full, err := ref.MinimizeLBFGSContext(context.Background(), x0, o, ResilienceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +209,7 @@ func TestAdaptCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := AdaptOptions{MaxIterations: 4, Reference: math.NaN()}
-	full, err := Adapt(h, pool, 4, 2, o)
+	full, err := AdaptContext(context.Background(), h, pool, 4, 2, o, ResilienceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package vqe
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -87,9 +88,9 @@ func TestAdaptAccumulatesStats(t *testing.T) {
 	h := chem.QubitHamiltonian(m)
 	fci, _ := chem.FCI(m)
 	pool, _ := ansatz.NewPool(4, 2)
-	res, err := Adapt(h, pool, 4, 2, AdaptOptions{
+	res, err := AdaptContext(context.Background(), h, pool, 4, 2, AdaptOptions{
 		MaxIterations: 6, Reference: fci.Energy, EnergyTol: core.ChemicalAccuracy,
-	})
+	}, ResilienceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,15 +3,19 @@
 // expectation, basis-rotated exact readout, and shot sampling), the
 // post-ansatz state cache (§4.1), gate-cost accounting for the
 // caching/non-caching comparison (Figure 3), adjoint analytic gradients,
-// and the Adapt-VQE outer loop (Figure 5).
+// and the Adapt-VQE outer loop (Figure 5). Driver is the one VQE
+// optimization loop: it runs on its own state vector or drives an
+// external Backend such as an xacc accelerator.
 package vqe
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
 
 	"repro/internal/ansatz"
+	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/noise"
 	"repro/internal/opt"
@@ -46,6 +50,12 @@ func (m EnergyMode) String() string {
 		return "sampled"
 	}
 	return fmt.Sprintf("mode(%d)", int(m))
+}
+
+// Backend evaluates ⟨prep|obs|prep⟩ on an external simulator. It is all
+// the driver needs from one: every xacc accelerator satisfies it.
+type Backend interface {
+	Expectation(ctx context.Context, prep *circuit.Circuit, obs *pauli.Op) (float64, error)
 }
 
 // Options configures a VQE driver.
@@ -90,6 +100,14 @@ type Options struct {
 	AdaptiveShots bool
 	// Seed for sampling.
 	Seed uint64
+	// Backend, when set, runs every energy evaluation on that simulator
+	// instead of the driver's own state vector, which is then never
+	// allocated (a cluster backend exists for states larger than one
+	// node). Only Direct mode is accepted, and L-BFGS differentiates by
+	// central finite differences because a backend exposes no
+	// amplitudes. Backend failures come back as errors from
+	// EnergyContext and the Minimize*Context loops.
+	Backend Backend
 }
 
 // Stats accumulates execution accounting across energy evaluations. Gate
@@ -135,15 +153,15 @@ func New(h *pauli.Op, a ansatz.Ansatz, opts Options) (*Driver, error) {
 	if opts.Shots <= 0 {
 		opts.Shots = 8192
 	}
-	d := &Driver{
-		H:      h,
-		Ansatz: a,
-		opts:   opts,
-		n:      n,
-		sim:    state.New(n, state.Options{Workers: opts.Workers, Seed: opts.Seed, Pool: opts.Pool}),
-		plan:   pauli.NewPlan(h),
-		cache:  state.NewCache(opts.DeviceCapacityBytes),
+	d := &Driver{H: h, Ansatz: a, opts: opts, n: n, cache: state.NewCache(opts.DeviceCapacityBytes)}
+	if opts.Backend != nil {
+		if opts.Mode != Direct {
+			return nil, fmt.Errorf("%w: vqe: a backend supports only direct mode (got %v)", core.ErrInvalidArgument, opts.Mode)
+		}
+		return d, nil
 	}
+	d.sim = state.New(n, state.Options{Workers: opts.Workers, Seed: opts.Seed, Pool: opts.Pool})
+	d.plan = pauli.NewPlan(h)
 	if opts.Mode != Direct {
 		if opts.PerTermMeasurement {
 			d.groups = perTermBases(h, n)
@@ -180,10 +198,14 @@ func perTermBases(h *pauli.Op, n int) []pauli.MeasurementBasis {
 // energy evaluation uses (terms in per-term mode, QWC groups otherwise).
 func (d *Driver) NumMeasurementBases() int { return len(d.groups) }
 
-// Stats returns a copy of the accounting counters.
+// Stats returns a copy of the accounting counters. Ansatz executions
+// and gates count the driver's own state vector only, so a driver with a
+// Backend reports zero for both.
 func (d *Driver) Stats() Stats {
 	s := d.stats
-	s.GatesApplied = d.sim.GatesApplied()
+	if d.sim != nil {
+		s.GatesApplied = d.sim.GatesApplied()
+	}
 	if d.scratch != nil {
 		s.GatesApplied += d.scratch.GatesApplied()
 	}
@@ -215,9 +237,14 @@ func paramKey(params []float64) string {
 	return fmt.Sprintf("%x", params)
 }
 
-// Energy evaluates ⟨H⟩ at params according to the configured mode and
-// caching policy.
+// Energy evaluates ⟨H⟩ at params on the driver's own state vector,
+// according to the configured mode and caching policy. A driver with a
+// Backend evaluates through EnergyContext instead, which carries the
+// context and the backend's error.
 func (d *Driver) Energy(params []float64) float64 {
+	if d.opts.Backend != nil {
+		panic(fmt.Errorf("%w: vqe: Energy on a backend driver; use EnergyContext", core.ErrInvalidArgument))
+	}
 	start := telemetry.Now()
 	d.stats.EnergyEvaluations++
 	var e float64
@@ -243,12 +270,29 @@ func (d *Driver) Energy(params []float64) float64 {
 	default:
 		panic(fmt.Errorf("%w: unknown energy mode %v", core.ErrInvalidArgument, d.opts.Mode))
 	}
+	observeEnergy(start)
+	return e
+}
+
+// observeEnergy records one energy evaluation begun at start.
+func observeEnergy(start int64) {
 	if start != 0 {
 		elapsed := time.Now().UnixNano() - start
 		mEnergyEval.Observe(elapsed)
 		mEnergyRecent.Observe(float64(elapsed))
 	}
-	return e
+}
+
+// backendEnergy evaluates ⟨H⟩ at params on the configured Backend.
+func (d *Driver) backendEnergy(ctx context.Context, params []float64) (float64, error) {
+	start := telemetry.Now()
+	d.stats.EnergyEvaluations++
+	e, err := d.opts.Backend.Expectation(ctx, d.Ansatz.Circuit(params), d.H)
+	if err != nil {
+		return 0, fmt.Errorf("vqe: backend expectation: %w", err)
+	}
+	observeEnergy(start)
+	return e, nil
 }
 
 // energyViaGroupPlans is the fused Rotated path: one ansatz execution,
@@ -474,31 +518,4 @@ type Result struct {
 	// Interrupted is set when the loop was halted early (deadline or
 	// observer); Energy/Params then hold the best point so far.
 	Interrupted bool
-}
-
-// Minimize runs the classical optimization loop from x0 using Nelder–Mead
-// (the derivative-free default suited to all three energy modes).
-func (d *Driver) Minimize(x0 []float64, o opt.NelderMeadOptions) Result {
-	start := telemetry.Now()
-	res := opt.NelderMead(d.Energy, x0, o)
-	mPhaseOptimize.Since(start)
-	return Result{Energy: res.F, Params: res.X, Optimizer: res, Stats: d.Stats(), CacheStats: d.CacheStats(), Interrupted: res.Interrupted}
-}
-
-// MinimizeLBFGS runs L-BFGS with adjoint analytic gradients; the ansatz
-// must be an exponential-structure ansatz (UCCSD or Adapt).
-func (d *Driver) MinimizeLBFGS(x0 []float64, o opt.LBFGSOptions) (Result, error) {
-	exp, ok := d.Ansatz.(Exponential)
-	if !ok {
-		return Result{}, fmt.Errorf("%w: ansatz does not expose exponential structure", core.ErrInvalidArgument)
-	}
-	grad := func(x, g []float64) {
-		gradStart := telemetry.Now()
-		d.adjointGradient(exp, x, g)
-		mPhaseGradient.Since(gradStart)
-	}
-	start := telemetry.Now()
-	res := opt.LBFGS(d.Energy, grad, x0, o)
-	mPhaseOptimize.Since(start)
-	return Result{Energy: res.F, Params: res.X, Optimizer: res, Stats: d.Stats(), CacheStats: d.CacheStats(), Interrupted: res.Interrupted}, nil
 }

@@ -1,6 +1,7 @@
 package vqe
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -81,7 +82,7 @@ func TestVQEReachesFCIForH2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.MinimizeLBFGS(make([]float64, u.NumParameters()), opt.LBFGSOptions{})
+	res, err := d.MinimizeLBFGSContext(context.Background(), make([]float64, u.NumParameters()), opt.LBFGSOptions{}, ResilienceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,10 @@ func TestVQEReachesFCIForH2(t *testing.T) {
 func TestVQENelderMeadReachesFCIForH2(t *testing.T) {
 	h, u, fci := h2Setup(t)
 	d, _ := New(h, u, Options{Mode: Direct})
-	res := d.Minimize(make([]float64, u.NumParameters()), opt.NelderMeadOptions{MaxIter: 2000})
+	res, err := d.MinimizeContext(context.Background(), make([]float64, u.NumParameters()), opt.NelderMeadOptions{MaxIter: 2000}, ResilienceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.Abs(res.Energy-fci) > 1e-5 {
 		t.Errorf("VQE(NM) %v vs FCI %v", res.Energy, fci)
 	}
@@ -258,11 +262,11 @@ func TestAdaptVQEH2ReachesChemicalAccuracy(t *testing.T) {
 	h := chem.QubitHamiltonian(m)
 	fci, _ := chem.FCI(m)
 	pool, _ := ansatz.NewPool(4, 2)
-	res, err := Adapt(h, pool, 4, 2, AdaptOptions{
+	res, err := AdaptContext(context.Background(), h, pool, 4, 2, AdaptOptions{
 		MaxIterations: 10,
 		Reference:     fci.Energy,
 		EnergyTol:     core.ChemicalAccuracy,
-	})
+	}, ResilienceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,11 +292,11 @@ func TestAdaptStopsOnGradientTolerance(t *testing.T) {
 	m := chem.H2()
 	h := chem.QubitHamiltonian(m)
 	pool, _ := ansatz.NewPool(4, 2)
-	res, err := Adapt(h, pool, 4, 2, AdaptOptions{
+	res, err := AdaptContext(context.Background(), h, pool, 4, 2, AdaptOptions{
 		MaxIterations: 25,
 		GradientTol:   1e-5,
 		Reference:     math.NaN(),
-	})
+	}, ResilienceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +359,7 @@ func TestVQEWithAlternativeEncodings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := drv.MinimizeLBFGS(make([]float64, u.NumParameters()), opt.LBFGSOptions{})
+		res, err := drv.MinimizeLBFGSContext(context.Background(), make([]float64, u.NumParameters()), opt.LBFGSOptions{}, ResilienceOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -380,11 +384,11 @@ func TestQubitAdaptVQEH2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Adapt(h, pool, 4, 2, AdaptOptions{
+	res, err := AdaptContext(context.Background(), h, pool, 4, 2, AdaptOptions{
 		MaxIterations: 15,
 		Reference:     fci.Energy,
 		EnergyTol:     core.ChemicalAccuracy,
-	})
+	}, ResilienceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +468,7 @@ func TestUCCGSDAtLeastAsExpressive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := d.MinimizeLBFGS(make([]float64, u.NumParameters()), opt.LBFGSOptions{MaxIter: 120})
+		res, err := d.MinimizeLBFGSContext(context.Background(), make([]float64, u.NumParameters()), opt.LBFGSOptions{MaxIter: 120}, ResilienceOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,7 +32,7 @@ func faultyClusterOptions(seed uint64) cluster.Options {
 }
 
 // TestFaultDrillH2VQEOnCluster is the end-to-end fault drill: a full H2
-// VQE on the multi-rank backend with a seeded fault injector behind
+// VQE (vqe.Driver over the accelerator) on the multi-rank backend with a seeded fault injector behind
 // every block exchange must converge to the same energy as the
 // fault-free run, and the recovery telemetry must show the faults were
 // actually hit and repaired.
@@ -45,8 +45,7 @@ func TestFaultDrillH2VQEOnCluster(t *testing.T) {
 	}
 	u, _ := ansatz.NewUCCSD(4, 2)
 
-	clean := &VQE{Observable: h, Ansatz: u, Accelerator: &ClusterAccelerator{Ranks: 4}, MaxIter: 2000}
-	cleanRes, err := clean.Execute(nil)
+	cleanRes, err := driverVQE(context.Background(), h, u, &ClusterAccelerator{Ranks: 4}, "nelder-mead", 2000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,13 +56,7 @@ func TestFaultDrillH2VQEOnCluster(t *testing.T) {
 	telemetry.Enable()
 	retriesBefore := telemetry.GetCounter("cluster.comm.retries").Value()
 	opts := faultyClusterOptions(1234)
-	drill := &VQE{
-		Observable:  h,
-		Ansatz:      u,
-		Accelerator: &ClusterAccelerator{Ranks: 4, Resilience: opts},
-		MaxIter:     2000,
-	}
-	drillRes, err := drill.Execute(nil)
+	drillRes, err := driverVQE(context.Background(), h, u, &ClusterAccelerator{Ranks: 4, Resilience: opts}, "nelder-mead", 2000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,8 +193,8 @@ func (a *cancelAfterAccelerator) Expectation(_ context.Context, prep *circuit.Ci
 }
 
 // TestVQEExecuteContextReturnsBestSoFar: when the context dies
-// mid-optimization, ExecuteContext degrades gracefully — best energy so
-// far, Interrupted flag, no error.
+// mid-optimization, the driver's loop over an accelerator degrades
+// gracefully — best energy so far, Interrupted flag, no error.
 func TestVQEExecuteContextReturnsBestSoFar(t *testing.T) {
 	m := chem.H2()
 	h := chem.QubitHamiltonian(m)
@@ -209,8 +202,7 @@ func TestVQEExecuteContextReturnsBestSoFar(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	acc := &cancelAfterAccelerator{after: 25, cancel: cancel}
-	alg := &VQE{Observable: h, Ansatz: u, Accelerator: acc, MaxIter: 2000}
-	res, err := alg.ExecuteContext(ctx, nil)
+	res, err := driverVQE(ctx, h, u, acc, "nelder-mead", 2000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +212,7 @@ func TestVQEExecuteContextReturnsBestSoFar(t *testing.T) {
 	if math.IsNaN(res.Energy) || res.Energy > 0 {
 		t.Errorf("unusable best-so-far energy %v", res.Energy)
 	}
-	if res.EnergyEvaluations >= 100 {
-		t.Errorf("optimization kept running after cancel: %d evaluations", res.EnergyEvaluations)
+	if res.Stats.EnergyEvaluations >= 100 {
+		t.Errorf("optimization kept running after cancel: %d evaluations", res.Stats.EnergyEvaluations)
 	}
 }

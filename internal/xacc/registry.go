@@ -5,8 +5,7 @@ package xacc
 // daemon needs more than that — construction options at lookup time (a
 // submitted RunSpec carries worker/rank/fault settings), and an
 // enumerable catalog for its capabilities endpoint — so the registry is
-// now a first-class type. The old package-level helpers survive as thin
-// deprecated wrappers over DefaultRegistry.
+// now a first-class type.
 
 import (
 	"fmt"

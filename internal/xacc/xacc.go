@@ -1,10 +1,10 @@
 // Package xacc is the reproduction's stand-in for the XACC programming
 // framework (paper §3): a hardware-agnostic accelerator abstraction with a
-// plugin-style registry, plus algorithm front-ends (VQE, Adapt-VQE, QPE)
-// that compile an observable + ansatz into backend executions and drive
-// the classical optimization loop. NWQ-Sim's backends (single-node
-// state vector, multi-rank cluster, density matrix) register themselves
-// here exactly as simulators register with the real XACC.
+// plugin-style registry. NWQ-Sim's backends (single-node state vector,
+// multi-rank cluster, density matrix) register themselves here exactly as
+// simulators register with the real XACC. The classical optimization
+// loop is not here: vqe.Driver drives any accelerator through its
+// Expectation method (vqe.Options.Backend).
 package xacc
 
 import (

@@ -2,14 +2,18 @@ package xacc
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/ansatz"
 	"repro/internal/chem"
 	"repro/internal/circuit"
+	"repro/internal/core"
 	"repro/internal/density"
+	"repro/internal/opt"
 	"repro/internal/pauli"
+	"repro/internal/vqe"
 )
 
 func TestRegistryContainsBuiltins(t *testing.T) {
@@ -119,42 +123,57 @@ func TestTranspilingBackendMatches(t *testing.T) {
 	}
 }
 
+// driverVQE runs VQE from x0 (θ = 0 when nil) through vqe.Driver with
+// acc as its backend — the one optimization loop every accelerator is
+// driven by.
+func driverVQE(ctx context.Context, h *pauli.Op, u ansatz.Ansatz, acc Accelerator, method string, maxIter int, x0 []float64) (vqe.Result, error) {
+	if x0 == nil {
+		x0 = make([]float64, u.NumParameters())
+	}
+	d, err := vqe.New(h, u, vqe.Options{Backend: acc})
+	if err != nil {
+		return vqe.Result{}, err
+	}
+	if method == "lbfgs" {
+		return d.MinimizeLBFGSContext(ctx, x0, opt.LBFGSOptions{MaxIter: maxIter}, vqe.ResilienceOptions{})
+	}
+	return d.MinimizeContext(ctx, x0, opt.NelderMeadOptions{MaxIter: maxIter}, vqe.ResilienceOptions{})
+}
+
 func TestVQEAlgorithmH2(t *testing.T) {
 	m := chem.H2()
 	h := chem.QubitHamiltonian(m)
 	fci, _ := chem.FCI(m)
 	u, _ := ansatz.NewUCCSD(4, 2)
 	for _, optName := range []string{"nelder-mead", "lbfgs"} {
-		alg := &VQE{Observable: h, Ansatz: u, Accelerator: &SVAccelerator{}, Optimizer: optName, MaxIter: 2000}
-		res, err := alg.Execute(nil)
+		res, err := driverVQE(context.Background(), h, u, &SVAccelerator{}, optName, 2000, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", optName, err)
 		}
 		if math.Abs(res.Energy-fci.Energy) > 1e-4 {
 			t.Errorf("%s: E = %v vs FCI %v", optName, res.Energy, fci.Energy)
 		}
-		if res.EnergyEvaluations == 0 {
+		if res.Stats.EnergyEvaluations == 0 {
 			t.Error("no evaluations counted")
 		}
 	}
 }
 
+// TestVQEAlgorithmValidation: the driver refuses, on an accelerator,
+// what the accelerator loop refused — a wrong-length x0 and an
+// observable wider than the ansatz — plus any mode but direct.
 func TestVQEAlgorithmValidation(t *testing.T) {
 	u, _ := ansatz.NewUCCSD(4, 2)
-	if _, err := (&VQE{Ansatz: u}).Execute(nil); err == nil {
-		t.Error("missing observable accepted")
-	}
 	h := chem.QubitHamiltonian(chem.H2())
-	alg := &VQE{Observable: h, Ansatz: u, Accelerator: &SVAccelerator{}, Optimizer: "magic"}
-	if _, err := alg.Execute(nil); err == nil {
-		t.Error("unknown optimizer accepted")
-	}
-	if _, err := (&VQE{Observable: h, Ansatz: u, Accelerator: &SVAccelerator{}}).Execute([]float64{1}); err == nil {
+	if _, err := driverVQE(context.Background(), h, u, &SVAccelerator{}, "nelder-mead", 0, []float64{1}); err == nil {
 		t.Error("bad x0 length accepted")
 	}
 	wide := pauli.NewOp().Add(pauli.MustParse("IIIIIZ"), 1)
-	if _, err := (&VQE{Observable: wide, Ansatz: u, Accelerator: &SVAccelerator{}}).Execute(nil); err == nil {
+	if _, err := driverVQE(context.Background(), wide, u, &SVAccelerator{}, "nelder-mead", 0, nil); err == nil {
 		t.Error("wide observable accepted")
+	}
+	if _, err := vqe.New(h, u, vqe.Options{Mode: vqe.Rotated, Backend: &SVAccelerator{}}); !errors.Is(err, core.ErrInvalidArgument) {
+		t.Errorf("rotated mode on an accelerator: err = %v, want ErrInvalidArgument", err)
 	}
 }
 
@@ -167,48 +186,6 @@ func TestNumQubitsLimits(t *testing.T) {
 		if a.NumQubitsLimit() < 2 {
 			t.Errorf("%s: implausible qubit limit", name)
 		}
-	}
-}
-
-func TestAdaptVQEFrontEnd(t *testing.T) {
-	m := chem.H2()
-	fci, _ := chem.FCI(m)
-	alg := &AdaptVQE{
-		Observable:   chem.QubitHamiltonian(m),
-		NumQubits:    4,
-		NumElectrons: 2,
-		Reference:    fci.Energy,
-	}
-	res, err := alg.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged || math.Abs(res.Energy-fci.Energy) > 1e-3 {
-		t.Errorf("adapt front-end: E %v vs FCI %v converged=%v", res.Energy, fci.Energy, res.Converged)
-	}
-	if _, err := (&AdaptVQE{}).Execute(); err == nil {
-		t.Error("missing observable accepted")
-	}
-}
-
-func TestQPEFrontEnd(t *testing.T) {
-	m := chem.H2()
-	fci, _ := chem.FCI(m)
-	alg := &QPE{
-		Observable:   chem.QubitHamiltonian(m),
-		NumQubits:    4,
-		NumElectrons: 2,
-		Time:         0.8,
-	}
-	res, err := alg.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Energy-fci.Energy) > 2*res.Resolution {
-		t.Errorf("qpe front-end: %v vs FCI %v", res.Energy, fci.Energy)
-	}
-	if _, err := (&QPE{}).Execute(); err == nil {
-		t.Error("missing observable accepted")
 	}
 }
 

@@ -1,6 +1,7 @@
 package vqesim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -9,51 +10,58 @@ import (
 )
 
 func TestGroundStateVQEH2(t *testing.T) {
-	res, err := GroundStateVQE(H2(), VQEConfig{})
+	res, err := Run(context.Background(), &RunSpec{}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(res.Energy-(-1.13727)) > 5e-4 {
 		t.Errorf("H2 VQE energy %v", res.Energy)
 	}
-	if res.ErrorVsFCI > 1e-6 {
-		t.Errorf("error vs FCI %v", res.ErrorVsFCI)
+	if res.ErrorVsExact > 1e-6 {
+		t.Errorf("error vs FCI %v", res.ErrorVsExact)
 	}
 }
 
 func TestGroundStateVQEModes(t *testing.T) {
 	for _, mode := range []string{"direct", "rotated"} {
-		res, err := GroundStateVQE(H2(), VQEConfig{Mode: mode, Optimizer: "nelder-mead"})
+		spec := &RunSpec{Mode: mode}
+		spec.Optimizer.Method, spec.Optimizer.MaxIter = "nelder-mead", 4000
+		res, err := Run(context.Background(), spec, RunOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
-		if res.ErrorVsFCI > 1e-4 {
-			t.Errorf("%s: error %v", mode, res.ErrorVsFCI)
+		if res.ErrorVsExact > 1e-4 {
+			t.Errorf("%s: error %v", mode, res.ErrorVsExact)
 		}
 	}
-	if _, err := GroundStateVQE(H2(), VQEConfig{Mode: "bogus"}); err == nil {
+	if _, err := Run(context.Background(), &RunSpec{Mode: "bogus"}, RunOptions{}); err == nil {
 		t.Error("bogus mode accepted")
 	}
-	if _, err := GroundStateVQE(H2(), VQEConfig{Optimizer: "bogus"}); err == nil {
+	bogus := &RunSpec{}
+	bogus.Optimizer.Method = "bogus"
+	if _, err := Run(context.Background(), bogus, RunOptions{}); err == nil {
 		t.Error("bogus optimizer accepted")
 	}
 }
 
 func TestGroundStateVQEWithFusion(t *testing.T) {
-	res, err := GroundStateVQE(H2(), VQEConfig{Fusion: true})
+	res, err := Run(context.Background(), &RunSpec{Fusion: true}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ErrorVsFCI > 1e-6 {
-		t.Errorf("fusion changed physics: %v", res.ErrorVsFCI)
+	if res.ErrorVsExact > 1e-6 {
+		t.Errorf("fusion changed physics: %v", res.ErrorVsExact)
 	}
 }
 
 func TestGroundStateAdaptVQEH2(t *testing.T) {
-	res, exact, err := GroundStateAdaptVQE(H2(), AdaptConfig{MaxIterations: 8})
+	spec := &RunSpec{Algorithm: "adapt"}
+	spec.Adapt.MaxIterations = 8
+	res, err := Run(context.Background(), spec, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	exact := res.Exact
 	if !res.Converged {
 		t.Fatal("did not converge")
 	}
